@@ -23,9 +23,12 @@
  *       [--strand-len=L] [--channel=wetlab|iid] [--csv=path]
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
 #include "simulator/error_profile.hh"
@@ -80,6 +83,20 @@ main(int argc, char **argv)
     const std::vector<std::pair<std::string, const Reconstructor *>>
         algos = {{"BMA", &bma}, {"DBMA", &dbma}, {"NW", &nw}};
 
+    // Reads NW aligns against a profile: all but the seed read of each
+    // cluster, up to its read cap.
+    std::size_t nw_aligned_reads = 0;
+    for (const auto &cluster : clusters) {
+        std::size_t nonempty = 0;
+        for (const Strand &read : cluster)
+            nonempty += !read.empty();
+        nonempty = std::min(nonempty, NwConsensusConfig{}.max_reads);
+        nw_aligned_reads += nonempty > 0 ? nonempty - 1 : 0;
+    }
+    obs::Counter &widenings =
+        obs::metrics().counter("dna.msa_band_widenings_total");
+    const std::uint64_t widenings_before = widenings.value();
+
     std::vector<ReconstructionProfile> profiles;
     Table summary;
     summary.header({"algorithm", "mean error", "peak error",
@@ -108,7 +125,10 @@ main(int argc, char **argv)
                      Table::fmt(seconds, 2)});
         profiles.push_back(std::move(profile));
     }
-    std::cout << summary.text() << "\n";
+    std::cout << summary.text() << "\n"
+              << "NW profile-MSA band widenings: "
+              << widenings.value() - widenings_before << " of "
+              << nw_aligned_reads << " aligned reads\n\n";
 
     Table fig;
     fig.header({"index", "BMA", "DBMA", "NW"});

@@ -1,10 +1,12 @@
 #include "dna/align.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "dna/base.hh"
+#include "obs/metrics.hh"
+#include "util/hot.hh"
 
 namespace dnastore
 {
@@ -101,42 +103,193 @@ classifyEdits(const std::string &reference, const std::string &read,
     return ops;
 }
 
+namespace
+{
+
+enum : std::uint8_t { FromDiag = 0, FromUp = 1, FromLeft = 2 };
+
+/** Band slack w: diagonals beyond the length difference that are filled. */
+constexpr std::ptrdiff_t kBandSlack = 8;
+
+/** Far below any reachable score, with headroom for the steps the DP
+ *  adds to it. */
+constexpr std::int64_t kUnreachable =
+    std::numeric_limits<std::int64_t>::min() / 4;
+
+/** Reads whose band could not be proved exact and were realigned at
+ *  full width.  Resolved at load time, so addRead only touches the
+ *  counter (and its atomic) when it widens. */
+obs::Counter &band_widenings =
+    obs::metrics().counter("dna.msa_band_widenings_total");
+
+} // namespace
+
 ProfileMsa::ProfileMsa(const AlignScores &align_scores) : scores(align_scores)
 {
 }
 
-double
-ProfileMsa::columnScore(const Column &col, std::uint8_t code) const
+bool
+ProfileMsa::alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi)
 {
-    assert(reads_added > 0);
-    std::uint32_t bases = 0;
-    for (int b = 0; b < kNumBases; ++b)
-        bases += col.counts[b];
-    const double matches = col.counts[code];
-    const double mismatches = static_cast<double>(bases) - matches;
-    const double gaps = col.counts[4];
-    return (matches * scores.match + mismatches * scores.mismatch +
-            gaps * scores.gap) /
-        static_cast<double>(reads_added);
-}
+    const std::vector<std::uint8_t> &codes = scratch.codes;
+    const std::size_t m = columns.size();
+    const std::size_t n = codes.size();
+    const auto sn = static_cast<std::ptrdiff_t>(n);
+    const std::size_t stride = n + 1;
+    // Inserting a new column: every existing read takes a gap.
+    const std::int64_t new_column =
+        static_cast<std::int64_t>(reads_added) * scores.gap;
 
-double
-ProfileMsa::columnGapScore(const Column &col) const
-{
-    assert(reads_added > 0);
-    std::uint32_t bases = 0;
-    for (int b = 0; b < kNumBases; ++b)
-        bases += col.counts[b];
-    // Gap against an existing gap costs nothing; against a base, the gap
-    // penalty.
-    return (static_cast<double>(bases) * scores.gap) /
-        static_cast<double>(reads_added);
+    // Two DP rows, each updated in place (before cell j of row i is
+    // written it still holds row i-1's value):
+    //  - row:   the best score of a path that stays inside the band;
+    //  - bound: an upper bound on any path that leaves the band and
+    //           comes back to the cell.
+    // The cells outside the band are summarised, per row, by one upper
+    // bound below it (j < i + lo) and one above it (j > i + hi).  They
+    // enter `bound` through the band's first cell (a left move) and
+    // through the cell past the previous row's band (an up move).  If
+    // bound < row at (m, n), every path that leaves the band scores
+    // strictly lower than the banded optimum, and the banded trace
+    // equals the full-width one, ties included.
+    std::vector<std::int64_t> &row = scratch.row;
+    std::vector<std::int64_t> &bound = scratch.bound;
+    std::vector<std::uint8_t> &trace = scratch.trace;
+    row.resize(stride);
+    bound.resize(stride);
+    trace.resize((m + 1) * stride);
+
+    const auto row0_end = static_cast<std::size_t>(std::min(sn, hi));
+    row[0] = 0;
+    bound[0] = kUnreachable;
+    for (std::size_t j = 1; j <= row0_end; ++j) {
+        row[j] = row[j - 1] + new_column;
+        bound[j] = kUnreachable;
+        trace[j] = FromLeft;
+    }
+    // Upper bounds, for the current row, on any cell under the band, on
+    // any cell over it, and on cell (i, i + lo) by any path.
+    std::int64_t below = kUnreachable;
+    std::int64_t above = kUnreachable;
+    std::int64_t lo_edge = kUnreachable;
+    if (row0_end < n) {
+        above = row[row0_end] + new_column;
+        row[row0_end + 1] = kUnreachable;
+        bound[row0_end + 1] = above;
+    }
+
+    for (std::size_t i = 1; i <= m; ++i) {
+        const auto &counts = columns[i - 1].counts;
+        const std::int64_t bases = static_cast<std::int64_t>(counts[0]) +
+            counts[1] + counts[2] + counts[3];
+        const std::int64_t gaps = counts[4];
+        std::array<std::int64_t, kNumBases> diag_score{};
+        for (int b = 0; b < kNumBases; ++b) {
+            const std::int64_t matches = counts[b];
+            diag_score[b] = matches * scores.match +
+                (bases - matches) * scores.mismatch + gaps * scores.gap;
+        }
+        // A read gap against an existing gap costs nothing; against a
+        // base, the gap penalty.
+        const std::int64_t up_score = bases * scores.gap;
+        // The best any diagonal or up move into this row can score:
+        // what each step outside the band is assumed to score.
+        const std::int64_t step_max = std::max(
+            up_score, *std::max_element(diag_score.begin(), diag_score.end()));
+
+        const auto si = static_cast<std::ptrdiff_t>(i);
+        const auto j_lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(
+            0, si + lo));
+        const auto j_hi = static_cast<std::size_t>(std::min(sn, si + hi));
+        below = si + lo > 0 ? std::max(below + step_max, lo_edge + up_score)
+                            : kUnreachable;
+
+        std::uint8_t *tr = trace.data() + i * stride;
+        std::size_t j = j_lo;
+        // Cell (i-1, j-1), and cell (i, j-1), which for the band's first
+        // cell lies under the band.
+        std::int64_t diag_prev = kUnreachable, bound_diag_prev = kUnreachable;
+        std::int64_t left = kUnreachable, bound_left = below;
+        if (j_lo == 0) {
+            // Column 0: only an up move reaches it.
+            diag_prev = row[0];
+            row[0] += up_score;
+            tr[0] = FromUp;
+            left = row[0];
+            j = 1;
+        } else {
+            diag_prev = row[j_lo - 1];
+            bound_diag_prev = bound[j_lo - 1];
+        }
+        for (; j <= j_hi; ++j) {
+            const std::int64_t score = diag_score[codes[j - 1]];
+            const std::int64_t diag = diag_prev + score;
+            const std::int64_t up = row[j] + up_score;
+            diag_prev = row[j];
+            std::int64_t best = diag;
+            std::uint8_t dir = FromDiag;
+            if (up > best) {
+                best = up;
+                dir = FromUp;
+            }
+            if (left + new_column > best) {
+                best = left + new_column;
+                dir = FromLeft;
+            }
+            row[j] = best;
+            tr[j] = dir;
+            left = best;
+
+            const std::int64_t out = std::max(
+                {bound_diag_prev + score, bound[j] + up_score,
+                 bound_left + new_column});
+            bound_diag_prev = bound[j];
+            bound[j] = out;
+            bound_left = out;
+        }
+        if (si + lo >= 0)
+            lo_edge = std::max(row[j_lo], bound[j_lo]);
+        if (j_hi < n) {
+            above = std::max(above + step_max,
+                             std::max(row[j_hi], bound[j_hi]) + new_column);
+            row[j_hi + 1] = kUnreachable;
+            bound[j_hi + 1] = above;
+        }
+    }
+    return bound[n] < row[n];
 }
 
 void
+ProfileMsa::traceBack()
+{
+    const std::vector<std::uint8_t> &codes = scratch.codes;
+    const std::vector<std::uint8_t> &trace = scratch.trace;
+    const std::size_t stride = codes.size() + 1;
+    std::vector<Step> &steps = scratch.steps;
+    steps.clear();
+    steps.reserve(columns.size() + codes.size());
+    std::size_t i = columns.size(), j = codes.size();
+    while (i > 0 || j > 0) {
+        const std::uint8_t dir = trace[i * stride + j];
+        if (i > 0 && j > 0 && dir == FromDiag) {
+            --i;
+            --j;
+            steps.push_back({FromDiag, codes[j], i});
+        } else if (i > 0 && (dir == FromUp || j == 0)) {
+            --i;
+            steps.push_back({FromUp, 0, i});
+        } else {
+            --j;
+            steps.push_back({FromLeft, codes[j], 0});
+        }
+    }
+}
+
+DNASTORE_HOT void
 ProfileMsa::addRead(const std::string &read)
 {
-    std::vector<std::uint8_t> codes(read.size());
+    std::vector<std::uint8_t> &codes = scratch.codes;
+    codes.resize(read.size());
     for (std::size_t i = 0; i < read.size(); ++i) {
         const std::uint8_t code = charToCode(read[i]);
         if (code == 0xff)
@@ -152,93 +305,46 @@ ProfileMsa::addRead(const std::string &read)
         return;
     }
 
-    const std::size_t m = columns.size();
-    const std::size_t n = read.size();
-    std::vector<double> dp((m + 1) * (n + 1));
-    std::vector<std::uint8_t> trace((m + 1) * (n + 1));
-    auto at = [n](std::size_t i, std::size_t j) { return i * (n + 1) + j; };
-    enum : std::uint8_t { FromDiag = 0, FromUp = 1, FromLeft = 2 };
+    const auto m = static_cast<std::ptrdiff_t>(columns.size());
+    const auto n = static_cast<std::ptrdiff_t>(read.size());
+    const std::ptrdiff_t lo = std::max(-m, std::min<std::ptrdiff_t>(0, n - m) -
+                                               kBandSlack);
+    const std::ptrdiff_t hi =
+        std::min(n, std::max<std::ptrdiff_t>(0, n - m) + kBandSlack);
+    if (!alignBanded(lo, hi)) {
+        band_widenings.add();
+        alignBanded(-m, n);
+    }
+    traceBack();
 
-    dp[at(0, 0)] = 0.0;
-    for (std::size_t i = 1; i <= m; ++i) {
-        dp[at(i, 0)] = dp[at(i - 1, 0)] + columnGapScore(columns[i - 1]);
-        trace[at(i, 0)] = FromUp;
-    }
-    for (std::size_t j = 1; j <= n; ++j) {
-        // Inserting a new column: every existing read takes a gap.
-        dp[at(0, j)] = dp[at(0, j - 1)] + scores.gap;
-        trace[at(0, j)] = FromLeft;
-    }
-    for (std::size_t i = 1; i <= m; ++i) {
-        const Column &col = columns[i - 1];
-        const double gap_here = columnGapScore(col);
-        for (std::size_t j = 1; j <= n; ++j) {
-            const double diag =
-                dp[at(i - 1, j - 1)] + columnScore(col, codes[j - 1]);
-            const double up = dp[at(i - 1, j)] + gap_here;
-            const double left = dp[at(i, j - 1)] + scores.gap;
-            double best = diag;
-            std::uint8_t dir = FromDiag;
-            if (up > best) {
-                best = up;
-                dir = FromUp;
-            }
-            if (left > best) {
-                best = left;
-                dir = FromLeft;
-            }
-            dp[at(i, j)] = best;
-            trace[at(i, j)] = dir;
-        }
-    }
-
-    // Traceback, collecting operations front-to-back after a reverse.
-    struct Step { std::uint8_t dir; std::size_t col; std::uint8_t code; };
-    std::vector<Step> steps;
-    steps.reserve(m + n);
-    std::size_t i = m, j = n;
-    while (i > 0 || j > 0) {
-        const std::uint8_t dir = trace[at(i, j)];
-        if (i > 0 && j > 0 && dir == FromDiag) {
-            --i;
-            --j;
-            steps.push_back({FromDiag, i, codes[j]});
-        } else if (i > 0 && (dir == FromUp || j == 0)) {
-            --i;
-            steps.push_back({FromUp, i, 0});
-        } else {
-            --j;
-            steps.push_back({FromLeft, 0, codes[j]});
-        }
-    }
-    std::reverse(steps.begin(), steps.end());
-
-    std::vector<Column> merged;
-    merged.reserve(columns.size() + n);
-    for (const Step &step : steps) {
-        switch (step.dir) {
+    // Merge the read into the profile, replaying the steps start to end.
+    std::vector<Column> &merged = scratch.merged;
+    merged.clear();
+    merged.reserve(scratch.steps.size());
+    for (auto it = scratch.steps.rbegin(); it != scratch.steps.rend(); ++it) {
+        switch (it->dir) {
           case FromDiag: {
-            Column col = columns[step.col];
-            ++col.counts[step.code];
+            Column col = columns[it->col];
+            ++col.counts[it->code];
             merged.push_back(col);
             break;
           }
           case FromUp: {
-            Column col = columns[step.col];
+            Column col = columns[it->col];
             ++col.counts[4]; // read gaps this column
             merged.push_back(col);
             break;
           }
           case FromLeft: {
             Column col;
-            col.counts[step.code] = 1;
+            col.counts[it->code] = 1;
             col.counts[4] = static_cast<std::uint32_t>(reads_added);
             merged.push_back(col);
             break;
           }
         }
     }
-    columns = std::move(merged);
+    columns.swap(merged);
     ++reads_added;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -78,6 +79,24 @@ classifyEdits(const std::string &reference, const std::string &read,
  * aligner: same algorithmic shape (global alignment to a growing MSA,
  * majority-vote consensus, indel-heavy column trimming), scalar
  * implementation.
+ *
+ * Scores are the profile-average scores multiplied by the number of
+ * reads already added, so every cell is an exact integer: aligning a
+ * base to a column scores matches*match + mismatches*mismatch +
+ * gaps*gap, a read gap scores bases*gap, and a new column scores
+ * reads*gap.  Ties resolve diagonal > up > left.
+ *
+ * The DP is banded: with m columns and an n-base read, only cells whose
+ * diagonal j - i lies in [min(0, n-m) - w, max(0, n-m) + w] are filled
+ * (w = 8).  Alongside the banded scores the same loop carries an upper
+ * bound on every path that leaves the band, scoring each step outside
+ * it as the column's best possible step.  If that bound reaches the
+ * banded optimum, the read's alignment may lie outside the band, so the
+ * same loop is rerun at full width and `dna.msa_band_widenings_total`
+ * is incremented.  Otherwise the banded alignment is exactly the
+ * full-width one, tie-breaking included.  Scratch buffers live in the
+ * object and are reused across reads, so one ProfileMsa must not be
+ * shared between threads.
  */
 class ProfileMsa
 {
@@ -123,15 +142,39 @@ class ProfileMsa
         std::array<std::uint32_t, 5> counts{};
     };
 
-    /** Score of aligning read char code c against a column (profile avg). */
-    double columnScore(const Column &col, std::uint8_t code) const;
+    /** One traceback move; col/code are meaningful per direction. */
+    struct Step
+    {
+        std::uint8_t dir;
+        std::uint8_t code;
+        std::size_t col;
+    };
 
-    /** Penalty for a gap in the read against a column. */
-    double columnGapScore(const Column &col) const;
+    /**
+     * Fill the DP of scratch.codes against the profile over diagonals
+     * j - i in [lo, hi] into scratch.trace.  Returns true if no path
+     * leaving the band can score as high as the banded optimum, i.e.
+     * the band gives the full-width alignment.
+     */
+    bool alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi);
+
+    /** Trace scratch.trace back from the end into scratch.steps. */
+    void traceBack();
 
     AlignScores scores;
     std::vector<Column> columns;
     std::size_t reads_added = 0;
+
+    /** Per-read working memory, kept to avoid reallocating per read. */
+    struct Scratch
+    {
+        std::vector<std::uint8_t> codes;
+        std::vector<std::int64_t> row;
+        std::vector<std::int64_t> bound;
+        std::vector<std::uint8_t> trace;
+        std::vector<Step> steps;
+        std::vector<Column> merged;
+    } scratch;
 };
 
 } // namespace dnastore

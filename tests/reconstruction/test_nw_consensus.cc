@@ -7,8 +7,10 @@
 
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
+#include "reconstruction/reconstructor.hh"
 #include "simulator/error_profile.hh"
 #include "simulator/iid_channel.hh"
+#include "simulator/virtual_wetlab.hh"
 
 namespace dnastore
 {
@@ -138,6 +140,29 @@ TEST(NwConsensus, SingleNoisyReadIsBestEffort)
     NwConsensusReconstructor nw;
     const Strand out = nw.reconstruct({s}, 60);
     EXPECT_EQ(out, s);
+}
+
+TEST(NwConsensusThreads, ReconstructAllIdenticalAcrossThreadCounts)
+{
+    // Each reconstruct call owns its ProfileMsa and the scratch buffers
+    // inside it, so the thread count cannot change a single base.  The
+    // noisy wetlab channel makes some reads widen past the band.
+    Rng rng(8);
+    VirtualWetlabConfig cfg;
+    cfg.base_error_rate = 0.10;
+    const VirtualWetlabChannel channel(cfg);
+    std::vector<std::vector<Strand>> clusters;
+    for (int c = 0; c < 48; ++c) {
+        const Strand s = strand::random(rng, 120);
+        std::vector<Strand> reads;
+        for (int r = 0; r < 20; ++r)
+            reads.push_back(channel.transmit(s, rng));
+        clusters.push_back(std::move(reads));
+    }
+    NwConsensusReconstructor nw;
+    const auto serial = reconstructAll(nw, clusters, 120, 1);
+    EXPECT_EQ(reconstructAll(nw, clusters, 120, 2), serial);
+    EXPECT_EQ(reconstructAll(nw, clusters, 120, 4), serial);
 }
 
 } // namespace

@@ -183,8 +183,13 @@ makeCycle(std::uint64_t master_seed, std::uint64_t cycle)
         TraceOp op;
         if (pick < 0.35) {
             op.kind = TraceOp::Kind::PutNew;
-            op.name = "o" + std::to_string(cycle) + "_" +
-                      std::to_string(i);
+            // reserve + append rather than a chain of operator+: GCC 12
+            // at -O3 reports a false -Werror=restrict inside the
+            // inlined char_traits copy of the concatenation.
+            const std::string cycle_str = std::to_string(cycle);
+            const std::string op_str = std::to_string(i);
+            op.name.reserve(2 + cycle_str.size() + op_str.size());
+            op.name.append("o").append(cycle_str).append("_").append(op_str);
         } else if (pick < 0.45) {
             op.kind = TraceOp::Kind::PutExisting;
             op.rank = zipfRank(rng);
