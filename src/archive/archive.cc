@@ -442,19 +442,13 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
         }
     };
 
-    if (num_threads > 1 && num_shards > 1) {
-        try {
-            ThreadPool pool(num_threads);
-            pool.parallelFor(0, num_shards, encodeShard);
-        } catch (const std::exception &e) {
-            result.status = ArchiveStatus::EncodeFailed;
-            result.error = std::string("shard encode batch failed: ") +
-                           e.what();
-            return result;
-        }
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            encodeShard(s);
+    try {
+        forEachIndex(poolFor(num_threads, num_shards).get(), num_shards,
+                     encodeShard);
+    } catch (const std::exception &e) {
+        result.status = ArchiveStatus::EncodeFailed;
+        result.error = std::string("shard encode batch failed: ") + e.what();
+        return result;
     }
     for (std::size_t s = 0; s < num_shards; ++s) {
         if (!failures[s].empty()) {
@@ -611,86 +605,7 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
 GetResult
 Archive::get(const std::string &name, const RetrievalConfig &config) const
 {
-    obs::Span span("archive/get");
-    obs::StageTagScope tag("archive.get");
-    GetResult result;
-    const ObjectEntry *object = manifest_.findObject(name);
-    if (object == nullptr) {
-        result.status = ArchiveStatus::NotFound;
-        result.error = "no object named '" + name + "'";
-        return result;
-    }
-    if (object->shards.empty()) {
-        result.status = ArchiveStatus::CorruptManifest;
-        result.error = "object '" + name + "' has no shards";
-        return result;
-    }
-    if (!ensurePairs(manifest_.nextPairId(), result.error)) {
-        result.status = ArchiveStatus::CorruptManifest;
-        return result;
-    }
-
-    const std::size_t num_shards = object->shards.size();
-    result.shards.resize(num_shards);
-    std::vector<std::vector<std::uint8_t>> payloads(num_shards);
-
-    // A fault injector is stateful (own RNG + counters), so its runs
-    // must stay serial to remain deterministic.
-    const bool parallel = config.num_threads > 1 && num_shards > 1 &&
-                          config.fault_injector == nullptr;
-    if (parallel) {
-        try {
-            ThreadPool pool(config.num_threads);
-            pool.parallelFor(0, num_shards, [&](std::size_t s) {
-                payloads[s] = decodeShard(object->shards[s], config,
-                                          result.shards[s]);
-            });
-        } catch (const std::exception &e) {
-            result.status = ArchiveStatus::DecodeFailed;
-            result.error = std::string("shard decode batch failed: ") +
-                           e.what();
-            return result;
-        }
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            payloads[s] = decodeShard(object->shards[s], config,
-                                      result.shards[s]);
-    }
-
-    std::size_t decoded = 0;
-    std::string failed_list;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-        if (result.shards[s].ok) {
-            ++decoded;
-        } else {
-            if (!failed_list.empty())
-                failed_list += ", ";
-            failed_list += std::to_string(s);
-        }
-    }
-    obs::metrics().counter("archive.shards_decoded_total").add(decoded);
-    obs::metrics().counter("archive.gets_total").add(1);
-
-    if (decoded != num_shards) {
-        result.status = ArchiveStatus::DecodeFailed;
-        result.error = "object '" + name + "': shard(s) " + failed_list +
-                       " failed to decode";
-        return result;
-    }
-
-    for (std::vector<std::uint8_t> &payload : payloads)
-        result.data.insert(result.data.end(), payload.begin(),
-                           payload.end());
-    if (result.data.size() != object->size_bytes ||
-        crc32({result.data.data(), result.data.size()}) !=
-            object->crc32_value) {
-        result.status = ArchiveStatus::DecodeFailed;
-        result.error = "object '" + name +
-                       "': reassembled payload failed CRC check";
-        result.data.clear();
-        return result;
-    }
-    return result;
+    return getMany({name}, config)[0];
 }
 
 std::vector<GetResult>
@@ -749,25 +664,22 @@ Archive::getMany(const std::vector<std::string> &names,
             decodeShard(objects[item.object]->shards[item.shard], config,
                         results[item.object].shards[item.shard]);
     };
-    const bool parallel = config.num_threads > 1 && work.size() > 1 &&
-                          config.fault_injector == nullptr;
-    if (parallel) {
-        try {
-            ThreadPool pool(config.num_threads);
-            pool.parallelFor(0, work.size(), decode_one);
-        } catch (const std::exception &e) {
-            for (std::size_t i = 0; i < names.size(); ++i) {
-                if (objects[i] == nullptr)
-                    continue;
-                results[i].status = ArchiveStatus::DecodeFailed;
-                results[i].error =
-                    std::string("shard decode batch failed: ") + e.what();
-            }
-            return results;
+    // A fault injector is stateful (own RNG + counters), so its runs
+    // must stay serial to remain deterministic.
+    const std::size_t threads =
+        config.fault_injector == nullptr ? config.num_threads : 1;
+    try {
+        forEachIndex(poolFor(threads, work.size()).get(), work.size(),
+                     decode_one);
+    } catch (const std::exception &e) {
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (objects[i] == nullptr)
+                continue;
+            results[i].status = ArchiveStatus::DecodeFailed;
+            results[i].error =
+                std::string("shard decode batch failed: ") + e.what();
         }
-    } else {
-        for (std::size_t w = 0; w < work.size(); ++w)
-            decode_one(w);
+        return results;
     }
 
     std::size_t shards_decoded = 0;

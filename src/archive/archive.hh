@@ -167,7 +167,8 @@ class Archive
 
     /**
      * Store @p data under @p name: shard, encode every shard as its own
-     * codec run (batched over the ThreadPool when num_threads > 1), tag
+     * codec run (batched over a ThreadPool when num_threads > 1 and
+     * there are several shards), tag
      * each shard's strands with a fresh primer pair and merge them into
      * the pool.  Persists manifest + pool before returning Ok.
      */
@@ -176,11 +177,11 @@ class Archive
                   std::size_t num_threads = 1);
 
     /**
-     * Retrieve @p name: PCR-select each shard's primer pair out of the
-     * mixed pool, simulate sequencing through the configured channel,
-     * preprocess (orientation + primer trim) and decode each shard
-     * independently.  Shards decode in parallel over the ThreadPool
-     * when config.num_threads > 1.  On success data is byte-exact
+     * Retrieve @p name: getMany({name}, config)[0].  Each shard's primer
+     * pair is PCR-selected out of the mixed pool, sequenced through the
+     * configured channel, preprocessed (orientation + primer trim) and
+     * decoded independently, in parallel when config.num_threads > 1
+     * and the object has several shards.  On success data is byte-exact
      * (object CRC verified); on failure the per-shard outcomes pin
      * down exactly which shards and stages degraded.
      */

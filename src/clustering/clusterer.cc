@@ -93,17 +93,11 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     WallTimer sig_timer;
     obs::Span sig_span("clustering/signature_pass");
     std::vector<Signature> signatures(reads.size());
-    std::unique_ptr<ThreadPool> pool;
-    if (cfg.num_threads > 1)
-        pool = std::make_unique<ThreadPool>(cfg.num_threads);
-    if (pool) {
-        pool->parallelFor(0, reads.size(), [&](std::size_t i) {
-            signatures[i] = scheme.compute(reads[i]);
-        });
-    } else {
-        for (std::size_t i = 0; i < reads.size(); ++i)
-            signatures[i] = scheme.compute(reads[i]);
-    }
+    const std::unique_ptr<ThreadPool> pool =
+        poolFor(cfg.num_threads, reads.size());
+    forEachIndex(pool.get(), reads.size(), [&](std::size_t i) {
+        signatures[i] = scheme.compute(reads[i]);
+    });
     sig_span.end();
     last_stats.signature_seconds = sig_timer.seconds();
 
@@ -199,16 +193,11 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
             }
         };
 
-        if (pool) {
-            pool->parallelFor(0, buckets.size(), process_bucket);
-        } else {
-            for (std::size_t b = 0; b < buckets.size(); ++b)
-                process_bucket(b);
-        }
+        forEachIndex(pool.get(), buckets.size(), process_bucket);
     }
 
     last_stats.clustering_seconds = merge_timer.seconds();
-    // Relaxed is enough: these are monotone tallies and parallelFor has
+    // Relaxed is enough: these are monotone tallies and forEachIndex has
     // already joined every worker, so the loads race with nothing.
     last_stats.signature_comparisons =
         sig_comparisons.load(std::memory_order_relaxed);

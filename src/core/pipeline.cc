@@ -1,6 +1,10 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
+#include <initializer_list>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -10,7 +14,7 @@
 #include "obs/stage_tag.hh"
 #include "simulator/sequencing_run.hh"
 #include "util/assert.hh"
-#include "util/timer.hh"
+#include "util/thread_pool.hh"
 
 namespace dnastore
 {
@@ -77,10 +81,114 @@ degradeTo(StageStatus &status, StageStatus floor)
 }
 
 /**
+ * One stage's instrumentation: opens the stage's trace span, sets the
+ * thread's stage tag, and adds the wall and thread-CPU time of that
+ * same interval into the stage's PipelineResult latency/cpu fields.
+ */
+class StageScope
+{
+  public:
+    StageScope(const char *span, const char *tag, double &latency,
+               double &cpu)
+        : span_(span), tag_(tag), latency_(&latency), cpu_(&cpu)
+    {
+    }
+
+    ~StageScope() { charge(); }
+
+    /**
+     * Charge the time so far to the current fields and the rest of the
+     * scope to @p latency / @p cpu (a recovery attempt reconstructs,
+     * then decodes, inside one span).
+     */
+    void
+    chargeTo(double &latency, double &cpu)
+    {
+        charge();
+        latency_ = &latency;
+        cpu_ = &cpu;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+
+    void
+    charge()
+    {
+        const Clock::time_point wall_now = Clock::now();
+        const std::uint64_t cpu_now = obs::threadCpuNanos();
+        *latency_ +=
+            std::chrono::duration<double>(wall_now - wall_start_).count();
+        if (cpu_now > cpu_start_)
+            *cpu_ += static_cast<double>(cpu_now - cpu_start_) * 1e-9;
+        wall_start_ = wall_now;
+        cpu_start_ = cpu_now;
+    }
+
+    obs::Span span_;
+    obs::StageTagScope tag_;
+    double *latency_;
+    double *cpu_;
+    Clock::time_point wall_start_ = Clock::now();
+    std::uint64_t cpu_start_ = obs::threadCpuNanos();
+};
+
+/**
+ * The shell both entry points share: metrics, contention and
+ * allocation deltas around @p body, a catch-all that turns any escaped
+ * exception into a pipeline error, and the published run tallies.
+ */
+PipelineResult
+instrumentedRun(const char *span_name, const FaultInjector *faults,
+                const std::function<void(PipelineResult &)> &body)
+{
+    PipelineResult result;
+    const obs::MetricsSnapshot before = obs::metrics().snapshot();
+    const obs::locktime::ContentionSnapshot contention_before =
+        obs::locktime::contentionSnapshot();
+    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
+    {
+        obs::Span run_span(span_name);
+        try {
+            body(result);
+        } catch (const std::exception &error) {
+            addError(result, "pipeline", error.what());
+        } catch (...) {
+            addError(result, "pipeline", "unknown exception");
+        }
+    }
+    if (faults)
+        result.faults = faults->counters();
+    publishRunMetrics(result);
+    result.metrics = obs::metrics().snapshot().delta(before);
+    result.contention =
+        obs::locktime::contentionSnapshot().delta(contention_before);
+    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
+    return result;
+}
+
+/** Record one error per absent module; true when any is missing. */
+bool
+missingModules(PipelineResult &result,
+               std::initializer_list<std::pair<const char *, bool>> modules)
+{
+    bool missing = false;
+    for (const auto &[module, present] : modules) {
+        if (!present) {
+            addError(result, "pipeline",
+                     std::string("missing module: ") + module);
+            missing = true;
+        }
+    }
+    return missing;
+}
+
+/**
  * Reconstruct the selected groups, salvaging what it can: a module
  * exception fails only the offending cluster, not the stage.  Returns
  * the consensus strands plus, aligned with them, the index of the
- * source group within @p groups.
+ * source group within @p groups.  The outcome is the same at every
+ * thread count.
  */
 std::pair<std::vector<Strand>, std::vector<std::size_t>>
 reconstructSalvaging(const Reconstructor &algo,
@@ -89,50 +197,35 @@ reconstructSalvaging(const Reconstructor &algo,
                      std::size_t strand_length, std::size_t num_threads,
                      PipelineResult &result)
 {
-    std::vector<std::vector<Strand>> selected;
-    selected.reserve(selection.size());
-    for (std::size_t g : selection)
-        selected.push_back(groups[g]);
-
-    if (num_threads > 1) {
-        try {
-            auto consensus = reconstructAll(algo, selected, strand_length,
-                                            num_threads);
-            return {std::move(consensus), selection};
-        } catch (const std::exception &error) {
-            addError(result, "reconstruction",
-                     std::string("parallel reconstruction failed, retrying "
-                                 "sequentially: ") +
-                         error.what());
-            degradeTo(result.status.reconstruction, StageStatus::Degraded);
-        } catch (...) {
-            addError(result, "reconstruction",
-                     "parallel reconstruction failed with an unknown "
-                     "exception, retrying sequentially");
-            degradeTo(result.status.reconstruction, StageStatus::Degraded);
-        }
-    }
+    std::vector<std::optional<Strand>> outcome(selection.size());
+    std::vector<std::string> failure(selection.size());
+    forEachIndex(poolFor(num_threads, selection.size()).get(),
+                 selection.size(), [&](std::size_t i) {
+                     obs::Span cluster_span("reconstruction/cluster");
+                     try {
+                         outcome[i] = algo.reconstruct(groups[selection[i]],
+                                                       strand_length);
+                     } catch (const std::exception &error) {
+                         failure[i] = error.what();
+                     } catch (...) {
+                         failure[i] = "unknown exception";
+                     }
+                 });
 
     std::vector<Strand> consensus;
     std::vector<std::size_t> kept;
-    consensus.reserve(selected.size());
-    kept.reserve(selected.size());
+    consensus.reserve(selection.size());
+    kept.reserve(selection.size());
     std::size_t failures = 0;
     std::string first_failure;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        obs::Span cluster_span("reconstruction/cluster");
-        try {
-            consensus.push_back(
-                algo.reconstruct(selected[i], strand_length));
+    std::uint64_t reads_seen = 0;
+    for (std::size_t i = 0; i < selection.size(); ++i) {
+        reads_seen += groups[selection[i]].size();
+        if (outcome[i]) {
+            consensus.push_back(std::move(*outcome[i]));
             kept.push_back(selection[i]);
-        } catch (const std::exception &error) {
-            ++failures;
-            if (first_failure.empty())
-                first_failure = error.what();
-        } catch (...) {
-            ++failures;
-            if (first_failure.empty())
-                first_failure = "unknown exception";
+        } else if (++failures == 1) {
+            first_failure = std::move(failure[i]);
         }
     }
     if (failures > 0) {
@@ -143,12 +236,9 @@ reconstructSalvaging(const Reconstructor &algo,
                   consensus.empty() ? StageStatus::Failed
                                     : StageStatus::Degraded);
     }
-    std::uint64_t reads_seen = 0;
-    for (const auto &group : selected)
-        reads_seen += group.size();
     obs::metrics()
         .counter("reconstruction.clusters_total")
-        .add(selected.size());
+        .add(selection.size());
     obs::metrics().counter("reconstruction.reads_total").add(reads_seen);
     return {std::move(consensus), std::move(kept)};
 }
@@ -211,63 +301,31 @@ Pipeline::Pipeline(PipelineModules modules, PipelineConfig config)
 PipelineResult
 Pipeline::run(const std::vector<std::uint8_t> &data)
 {
-    PipelineResult result;
-    const obs::MetricsSnapshot before = obs::metrics().snapshot();
-    const obs::locktime::ContentionSnapshot contention_before =
-        obs::locktime::contentionSnapshot();
-    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
-    {
-        obs::Span run_span("pipeline/run");
-        try {
-            runImpl(data, result);
-        } catch (const std::exception &error) {
-            addError(result, "pipeline", error.what());
-        } catch (...) {
-            addError(result, "pipeline", "unknown exception");
-        }
-    }
-    if (mods.fault_injector)
-        result.faults = mods.fault_injector->counters();
-    publishRunMetrics(result);
-    result.metrics = obs::metrics().snapshot().delta(before);
-    result.contention =
-        obs::locktime::contentionSnapshot().delta(contention_before);
-    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
-    return result;
+    return instrumentedRun("pipeline/run", mods.fault_injector,
+                           [&](PipelineResult &result) {
+                               runImpl(data, result);
+                           });
 }
 
 void
 Pipeline::runImpl(const std::vector<std::uint8_t> &data,
                   PipelineResult &result)
 {
-    bool missing = false;
-    for (const auto &[module, present] :
-         {std::pair{"encoder", mods.encoder != nullptr},
-          {"decoder", mods.decoder != nullptr},
-          {"channel", mods.channel != nullptr},
-          {"clusterer", mods.clusterer != nullptr},
-          {"reconstructor", mods.reconstructor != nullptr}}) {
-        if (!present) {
-            addError(result, "pipeline",
-                     std::string("missing module: ") + module);
-            missing = true;
-        }
-    }
-    if (missing) {
+    if (missingModules(result,
+                       {{"encoder", mods.encoder != nullptr},
+                        {"decoder", mods.decoder != nullptr},
+                        {"channel", mods.channel != nullptr},
+                        {"clusterer", mods.clusterer != nullptr},
+                        {"reconstructor", mods.reconstructor != nullptr}})) {
         result.status.encoding = StageStatus::Failed;
         return;
     }
 
-    WallTimer timer;
-    obs::ThreadCpuTimer cpu_timer;
-
     // Stage 1: encoding (+ ECC).
-    timer.reset();
-    cpu_timer.reset();
     std::vector<Strand> encoded;
     try {
-        obs::Span span("pipeline/encoding");
-        obs::StageTagScope tag("encoding");
+        StageScope stage("pipeline/encoding", "encoding",
+                         result.latency.encoding, result.cpu.encoding);
         encoded = mods.encoder->encode(data);
         result.status.encoding = StageStatus::Ok;
     } catch (const std::exception &error) {
@@ -279,8 +337,6 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
         result.status.encoding = StageStatus::Failed;
         return;
     }
-    result.latency.encoding = timer.seconds();
-    result.cpu.encoding = cpu_timer.seconds();
     result.encoded_strands = encoded.size();
     if (encoded.empty())
         return;
@@ -294,12 +350,10 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     }
 
     // Stage 2: wetlab simulation (synthesis, storage, sequencing).
-    timer.reset();
-    cpu_timer.reset();
     SequencingRun run;
     try {
-        obs::Span span("pipeline/simulation");
-        obs::StageTagScope tag("simulation");
+        StageScope stage("pipeline/simulation", "simulation",
+                         result.latency.simulation, result.cpu.simulation);
         run = simulateSequencing(encoded, *mods.channel, cfg.coverage, rng);
         result.status.simulation = StageStatus::Ok;
     } catch (const std::exception &error) {
@@ -310,8 +364,6 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
         addError(result, "simulation", "unknown exception");
         result.status.simulation = StageStatus::Failed;
     }
-    result.latency.simulation = timer.seconds();
-    result.cpu.simulation = cpu_timer.seconds();
     result.dropped_strands = run.dropped_strands;
 
     // Sequencing faults: truncation, elongation, corrupt indices, junk.
@@ -331,54 +383,30 @@ PipelineResult
 Pipeline::runFromReads(const std::vector<Strand> &reads,
                        std::size_t strand_length, std::size_t expected_units)
 {
-    PipelineResult result;
-    const obs::MetricsSnapshot before = obs::metrics().snapshot();
-    const obs::locktime::ContentionSnapshot contention_before =
-        obs::locktime::contentionSnapshot();
-    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
-    obs::Span run_span("pipeline/run_from_reads");
-    try {
-        bool missing = false;
-        for (const auto &[module, present] :
-             {std::pair{"decoder", mods.decoder != nullptr},
-              {"clusterer", mods.clusterer != nullptr},
-              {"reconstructor", mods.reconstructor != nullptr}}) {
-            if (!present) {
-                addError(result, "pipeline",
-                         std::string("missing module: ") + module);
-                missing = true;
+    return instrumentedRun(
+        "pipeline/run_from_reads", mods.fault_injector,
+        [&](PipelineResult &result) {
+            if (missingModules(
+                    result,
+                    {{"decoder", mods.decoder != nullptr},
+                     {"clusterer", mods.clusterer != nullptr},
+                     {"reconstructor", mods.reconstructor != nullptr}})) {
+                result.status.clustering = StageStatus::Failed;
+                return;
             }
-        }
-        if (missing) {
-            result.status.clustering = StageStatus::Failed;
-            return result;
-        }
-
-        if (mods.fault_injector &&
-            mods.fault_injector->plan().anyReadFaults()) {
-            std::vector<Strand> faulted = reads;
-            mods.fault_injector->injectReads(faulted);
-            result.reads = faulted.size();
-            retrieve(faulted, nullptr, nullptr, strand_length,
-                     expected_units, result);
-        } else {
-            result.reads = reads.size();
-            retrieve(reads, nullptr, nullptr, strand_length, expected_units,
-                     result);
-        }
-    } catch (const std::exception &error) {
-        addError(result, "pipeline", error.what());
-    } catch (...) {
-        addError(result, "pipeline", "unknown exception");
-    }
-    if (mods.fault_injector)
-        result.faults = mods.fault_injector->counters();
-    publishRunMetrics(result);
-    result.metrics = obs::metrics().snapshot().delta(before);
-    result.contention =
-        obs::locktime::contentionSnapshot().delta(contention_before);
-    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
-    return result;
+            if (mods.fault_injector &&
+                mods.fault_injector->plan().anyReadFaults()) {
+                std::vector<Strand> faulted = reads;
+                mods.fault_injector->injectReads(faulted);
+                result.reads = faulted.size();
+                retrieve(faulted, nullptr, nullptr, strand_length,
+                         expected_units, result);
+            } else {
+                result.reads = reads.size();
+                retrieve(reads, nullptr, nullptr, strand_length,
+                         expected_units, result);
+            }
+        });
 }
 
 void
@@ -388,9 +416,6 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
                    std::size_t strand_length, std::size_t expected_units,
                    PipelineResult &result)
 {
-    WallTimer timer;
-    obs::ThreadCpuTimer cpu_timer;
-
     // Pre-clustering sanitation: wetlab data (and the garbage-read
     // fault) contains empty or non-ACGT reads that the similarity
     // machinery downstream is not obliged to handle.  Filter them here
@@ -420,12 +445,10 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     }
 
     // Stage 3: clustering.
-    timer.reset();
-    cpu_timer.reset();
     Clustering clustering;
     try {
-        obs::Span span("pipeline/clustering");
-        obs::StageTagScope tag("clustering");
+        StageScope stage("pipeline/clustering", "clustering",
+                         result.latency.clustering, result.cpu.clustering);
         clustering = mods.clusterer->cluster(*use_reads);
         result.status.clustering = StageStatus::Ok;
     } catch (const std::exception &error) {
@@ -445,8 +468,6 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
             clustering.clusters[i] = {i};
         }
     }
-    result.latency.clustering = timer.seconds();
-    result.cpu.clustering = cpu_timer.seconds();
     result.clusters = clustering.numClusters();
     if (result.malformed_reads > 0)
         degradeTo(result.status.clustering, StageStatus::Degraded);
@@ -463,8 +484,6 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
 
     // Materialise every non-empty cluster; size filtering happens per
     // decode attempt so the recovery policy can relax it.
-    timer.reset();
-    cpu_timer.reset();
     std::vector<std::vector<Strand>> groups;
     std::vector<std::vector<std::uint32_t>> group_origins;
     groups.reserve(clustering.clusters.size());
@@ -513,13 +532,12 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     // Stage 4: trace reconstruction (salvaging cluster failures).
     result.status.reconstruction = StageStatus::Ok;
     auto [reconstructed, kept] = [&] {
-        obs::Span span("pipeline/reconstruction");
-        obs::StageTagScope tag("reconstruction");
+        StageScope stage("pipeline/reconstruction", "reconstruction",
+                         result.latency.reconstruction,
+                         result.cpu.reconstruction);
         return reconstructSalvaging(*mods.reconstructor, groups, selection,
                                     strand_length, cfg.num_threads, result);
     }();
-    result.latency.reconstruction = timer.seconds();
-    result.cpu.reconstruction = cpu_timer.seconds();
 
     // Ground-truth reconstruction quality: a cluster reconstructs
     // "perfectly" when its consensus equals the encoded strand that a
@@ -552,38 +570,28 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     }
 
     // Stage 5: decoding and error correction.
-    timer.reset();
-    cpu_timer.reset();
     result.status.decoding = StageStatus::Ok;
     {
-        obs::Span span("pipeline/decoding");
-        obs::StageTagScope tag("decoding");
+        StageScope stage("pipeline/decoding", "decoding",
+                         result.latency.decoding, result.cpu.decoding);
         result.report = decodeGuarded(*mods.decoder, reconstructed,
                                       expected_units, result);
     }
-    result.latency.decoding = timer.seconds();
-    result.cpu.decoding = cpu_timer.seconds();
 
     // Recovery policy: bounded retries with degraded settings.
     std::size_t budget = cfg.max_decode_retries;
     const auto attempt = [&](const std::string &description,
                              const Reconstructor &algo, std::size_t min) {
-        obs::Span span("pipeline/recovery_attempt");
-        obs::StageTagScope stage_tag("recovery");
-        WallTimer retry_timer;
-        obs::ThreadCpuTimer retry_cpu_timer;
-        auto [consensus, retry_kept] = reconstructSalvaging(
-            algo, groups, select(min), strand_length, cfg.num_threads,
-            result);
-        (void)retry_kept;
-        result.latency.reconstruction += retry_timer.seconds();
-        result.cpu.reconstruction += retry_cpu_timer.seconds();
-        retry_timer.reset();
-        retry_cpu_timer.reset();
+        StageScope stage("pipeline/recovery_attempt", "recovery",
+                         result.latency.reconstruction,
+                         result.cpu.reconstruction);
+        const std::vector<Strand> consensus =
+            reconstructSalvaging(algo, groups, select(min), strand_length,
+                                 cfg.num_threads, result)
+                .first;
+        stage.chargeTo(result.latency.decoding, result.cpu.decoding);
         DecodeReport report =
             decodeGuarded(*mods.decoder, consensus, expected_units, result);
-        result.latency.decoding += retry_timer.seconds();
-        result.cpu.decoding += retry_cpu_timer.seconds();
         result.recovery_attempts.push_back(RecoveryAttempt{
             description, report.ok, report.failed_rows});
         if (report.ok) {

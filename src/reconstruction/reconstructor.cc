@@ -17,18 +17,11 @@ reconstructAll(const Reconstructor &algo,
     std::uint64_t reads_seen = 0;
     for (const auto &cluster : clusters)
         reads_seen += cluster.size();
-    if (num_threads > 1) {
-        ThreadPool pool(num_threads);
-        pool.parallelFor(0, clusters.size(), [&](std::size_t i) {
-            obs::Span span("reconstruction/cluster");
-            out[i] = algo.reconstruct(clusters[i], expected_length);
-        });
-    } else {
-        for (std::size_t i = 0; i < clusters.size(); ++i) {
-            obs::Span span("reconstruction/cluster");
-            out[i] = algo.reconstruct(clusters[i], expected_length);
-        }
-    }
+    forEachIndex(poolFor(num_threads, clusters.size()).get(), clusters.size(),
+                 [&](std::size_t i) {
+                     obs::Span span("reconstruction/cluster");
+                     out[i] = algo.reconstruct(clusters[i], expected_length);
+                 });
     obs::metrics()
         .counter("reconstruction.clusters_total")
         .add(clusters.size());

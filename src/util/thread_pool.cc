@@ -146,18 +146,6 @@ void
 ThreadPool::parallelFor(std::size_t begin, std::size_t end,
                         const std::function<void(std::size_t)> &fn)
 {
-    parallelChunks(begin, end,
-                   [&fn](std::size_t lo, std::size_t hi) {
-                       for (std::size_t i = lo; i < hi; ++i)
-                           fn(i);
-                   });
-}
-
-void
-ThreadPool::parallelChunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)> &fn)
-{
     if (begin >= end)
         return;
     const std::size_t total = end - begin;
@@ -169,7 +157,10 @@ ThreadPool::parallelChunks(
     futures.reserve(chunks);
     for (std::size_t lo = begin; lo < end; lo += chunk_size) {
         const std::size_t hi = std::min(end, lo + chunk_size);
-        futures.push_back(submit([lo, hi, &fn] { fn(lo, hi); }));
+        futures.push_back(submit([lo, hi, &fn] {
+            for (std::size_t i = lo; i < hi; ++i)
+                fn(i);
+        }));
     }
     DNASTORE_ASSERT(futures.size() <= chunks,
                     "chunk decomposition must not exceed its plan");
@@ -196,6 +187,27 @@ ThreadPool::parallelChunks(
         std::rethrow_exception(first);
     if (!messages.empty())
         throw ParallelError(std::move(messages), futures.size());
+}
+
+std::unique_ptr<ThreadPool>
+poolFor(std::size_t num_threads, std::size_t n)
+{
+    const std::size_t workers = std::min(num_threads, n);
+    if (workers <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(workers);
+}
+
+void
+forEachIndex(ThreadPool *pool, std::size_t n,
+             const std::function<void(std::size_t)> &fn)
+{
+    if (pool != nullptr) {
+        pool->parallelFor(0, n, fn);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        fn(i);
 }
 
 } // namespace dnastore

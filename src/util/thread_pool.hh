@@ -2,7 +2,9 @@
  * @file
  * A small fixed-size thread pool used by the clustering and reconstruction
  * modules.  Tasks are arbitrary callables; parallelFor provides chunked
- * data-parallel loops with exception propagation.
+ * data-parallel loops with exception propagation.  poolFor and
+ * forEachIndex own the one choice every loop site makes: run inline or
+ * fan out to a pool.
  */
 
 #pragma once
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -27,7 +30,7 @@ namespace dnastore
 {
 
 /**
- * Thrown by parallelFor/parallelChunks when more than one chunk fails:
+ * Thrown by parallelFor when more than one chunk fails:
  * every worker exception is collected so no failure vanishes silently.
  * (A single failing chunk rethrows its original exception unchanged.)
  */
@@ -104,21 +107,14 @@ class ThreadPool
 
     /**
      * Run fn(i) for every i in [begin, end), distributing contiguous chunks
-     * over the pool.  Blocks until all iterations finish.  If exactly one
-     * chunk throws, that exception is rethrown unchanged; if several
-     * throw, a ParallelError aggregating every failure is thrown instead.
+     * (at most four per worker) over the pool.  Blocks until all
+     * iterations finish.  A chunk stops at its first throwing iteration.
+     * If exactly one chunk throws, that exception is rethrown unchanged;
+     * if several throw, a ParallelError aggregating every failure is
+     * thrown instead.
      */
     void parallelFor(std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Run fn(chunk_begin, chunk_end) over contiguous ranges covering
-     * [begin, end).  Useful when per-chunk setup matters (e.g. a
-     * per-thread Rng stream).
-     */
-    void parallelChunks(
-        std::size_t begin, std::size_t end,
-        const std::function<void(std::size_t, std::size_t)> &fn);
 
   private:
     /**
@@ -141,6 +137,22 @@ class ThreadPool
     CondVar available;
     bool stopping DNASTORE_GUARDED_BY(mutex) = false;
 };
+
+/**
+ * The pool a loop over @p n items fans out to: null when
+ * min(num_threads, n) <= 1, so the loop runs inline; otherwise a fresh
+ * pool of min(num_threads, n) workers.
+ */
+std::unique_ptr<ThreadPool> poolFor(std::size_t num_threads, std::size_t n);
+
+/**
+ * Run fn(i) for every i in [0, n): on @p pool when it is non-null
+ * (ThreadPool::parallelFor semantics), else inline on the calling
+ * thread in index order, where the first exception propagates as is.
+ * Typical call: forEachIndex(poolFor(num_threads, n).get(), n, fn).
+ */
+void forEachIndex(ThreadPool *pool, std::size_t n,
+                  const std::function<void(std::size_t)> &fn);
 
 } // namespace dnastore
 

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "util/random.hh"
 
 using namespace dnastore;
@@ -540,26 +541,93 @@ TEST_F(ArchiveTest, DnaManifestDecodeFailsCleanly)
         << bad_copy.error;
 }
 
+/** Field-by-field ShardOutcome comparison (errors aside). */
+void
+expectSameShards(const GetResult &a, const GetResult &b,
+                 const std::string &label)
+{
+    ASSERT_EQ(a.shards.size(), b.shards.size()) << label;
+    const auto statuses = [](const StageStatusSet &s) {
+        return std::vector<StageStatus>{s.encoding, s.simulation,
+                                        s.clustering, s.reconstruction,
+                                        s.decoding};
+    };
+    for (std::size_t s = 0; s < a.shards.size(); ++s) {
+        const ShardOutcome &x = a.shards[s];
+        const ShardOutcome &y = b.shards[s];
+        EXPECT_EQ(x.pair_id, y.pair_id) << label << " shard " << s;
+        EXPECT_EQ(x.ok, y.ok) << label << " shard " << s;
+        EXPECT_EQ(x.reads, y.reads) << label << " shard " << s;
+        EXPECT_EQ(x.clusters, y.clusters) << label << " shard " << s;
+        EXPECT_EQ(statuses(x.stages), statuses(y.stages))
+            << label << " shard " << s;
+    }
+}
+
 TEST_F(ArchiveTest, ParallelAndSerialGetsAgree)
 {
     auto created = Archive::create(dir(), smallParams());
     ASSERT_TRUE(created.ok()) << created.error;
     const auto payload = patternBytes(1100, 7);
     ASSERT_TRUE(created.archive->put("obj", payload, 4).ok());
+    ASSERT_EQ(created.archive->stat("obj")->shards.size(), 5u);
 
     RetrievalConfig serial;
     serial.error_rate = 0.02;
     serial.seed = 77;
     serial.num_threads = 1;
-    RetrievalConfig parallel = serial;
-    parallel.num_threads = 4;
-
     const GetResult a = created.archive->get("obj", serial);
-    const GetResult b = created.archive->get("obj", parallel);
     ASSERT_TRUE(a.ok()) << a.error;
-    ASSERT_TRUE(b.ok()) << b.error;
-    // Per-shard seeds depend only on (seed, pair_id), so thread count
-    // cannot change the result.
-    EXPECT_EQ(a.data, b.data);
     EXPECT_EQ(a.data, payload);
+
+    // Per-shard seeds depend only on (seed, pair_id), so thread count
+    // cannot change the result, shard by shard.
+    for (const std::size_t threads : {2u, 4u}) {
+        RetrievalConfig parallel = serial;
+        parallel.num_threads = threads;
+        const std::string label = std::to_string(threads) + " threads";
+        const GetResult b = created.archive->get("obj", parallel);
+        ASSERT_TRUE(b.ok()) << label << ": " << b.error;
+        EXPECT_EQ(a.data, b.data) << label;
+        expectSameShards(a, b, label);
+    }
+
+    // get(n) is getMany({n})[0], for a stored and for a missing name.
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        RetrievalConfig config = serial;
+        config.num_threads = threads;
+        for (const std::string name : {"obj", "missing"}) {
+            const std::string label =
+                name + " at " + std::to_string(threads) + " threads";
+            const GetResult one = created.archive->get(name, config);
+            const GetResult many =
+                created.archive->getMany({name}, config).at(0);
+            EXPECT_EQ(one.status, many.status) << label;
+            EXPECT_EQ(one.error, many.error) << label;
+            EXPECT_EQ(one.data, many.data) << label;
+            expectSameShards(one, many, label);
+        }
+    }
+    const GetResult missing = created.archive->get("missing", serial);
+    EXPECT_EQ(missing.status, ArchiveStatus::NotFound);
+}
+
+TEST_F(ArchiveTest, OneShardRunsInlineWhateverTheThreadCount)
+{
+    auto created = Archive::create(dir(), smallParams());
+    ASSERT_TRUE(created.ok()) << created.error;
+    const auto payload = patternBytes(200, 8); // one 256-byte shard
+
+    RetrievalConfig config;
+    config.error_rate = 0.02;
+    config.num_threads = 4;
+    obs::Counter &tasks =
+        obs::metrics().counter("util.thread_pool.tasks_total");
+    const std::uint64_t before = tasks.value();
+    ASSERT_TRUE(created.archive->put("one", payload, 4).ok());
+    const GetResult got = created.archive->get("one", config);
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.data, payload);
+    // No pool was built for a single shard, so no task ran on one.
+    EXPECT_EQ(tasks.value(), before);
 }

@@ -4,7 +4,7 @@
  * purpose is a ThreadSanitizer-instrumented build
  * (-DDNASTORE_SANITIZE=thread), where they drive the three concurrent
  * surfaces of the toolkit hard enough for TSan to observe every
- * happens-before edge: ThreadPool::parallelChunks/submit, the
+ * happens-before edge: ThreadPool::parallelFor/submit, the
  * Rashtchian clusterer's parallel signature + bucket-merge path, and
  * multiple Pipeline::run instances sharing const modules.
  */
@@ -33,18 +33,15 @@ namespace dnastore
 namespace
 {
 
-TEST(TsanStress, ParallelChunksAccumulate)
+TEST(TsanStress, ParallelForAccumulates)
 {
     ThreadPool pool(4);
     constexpr std::size_t kItems = 200000;
     constexpr int kRounds = 5;
     for (int round = 0; round < kRounds; ++round) {
         std::atomic<std::uint64_t> sum{0};
-        pool.parallelChunks(0, kItems, [&](std::size_t lo, std::size_t hi) {
-            std::uint64_t local = 0;
-            for (std::size_t i = lo; i < hi; ++i)
-                local += i;
-            sum.fetch_add(local, std::memory_order_relaxed);
+        pool.parallelFor(0, kItems, [&](std::size_t i) {
+            sum.fetch_add(i, std::memory_order_relaxed);
         });
         EXPECT_EQ(sum.load(),
                   static_cast<std::uint64_t>(kItems) * (kItems - 1) / 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "codec/matrix_codec.hh"
 #include "core/pipeline.hh"
@@ -96,7 +97,7 @@ class FlakyReconstructor : public Reconstructor
                 std::size_t expected_length) const override
     {
         if (reads.size() < fail_below)
-            throw std::runtime_error("cluster too thin");
+            throw std::runtime_error("cluster too thin: " + reads.front());
         return inner.reconstruct(reads, expected_length);
     }
     std::string name() const override { return "flaky"; }
@@ -137,19 +138,47 @@ TEST(Pipeline, FlakyReconstructorDegradesInsteadOfAborting)
     MatrixEncoder encoder(codec_cfg);
     MatrixDecoder decoder(codec_cfg);
     IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.03));
-    RashtchianClusterer clusterer({});
     FlakyReconstructor recon(2); // throws on singleton clusters
-    PipelineConfig cfg;
-    cfg.coverage = CoverageModel(10.0, CoverageDistribution::Poisson);
-    Pipeline pipeline({&encoder, &decoder, &channel, &clusterer, &recon},
-                      cfg);
     Rng rng(12);
     const auto data = randomData(rng, 3000);
-    PipelineResult result;
-    EXPECT_NO_THROW(result = pipeline.run(data));
+
+    const auto runAt = [&](std::size_t threads) {
+        RashtchianClusterer clusterer({});
+        PipelineConfig cfg;
+        cfg.coverage = CoverageModel(10.0, CoverageDistribution::Poisson);
+        cfg.num_threads = threads;
+        Pipeline pipeline(
+            {&encoder, &decoder, &channel, &clusterer, &recon}, cfg);
+        PipelineResult result;
+        EXPECT_NO_THROW(result = pipeline.run(data));
+        return result;
+    };
+    const PipelineResult serial = runAt(1);
     // Singleton clusters failed individually; the rest decoded fine.
-    EXPECT_TRUE(result.report.ok);
-    EXPECT_EQ(result.report.data, data);
+    EXPECT_TRUE(serial.report.ok);
+    EXPECT_EQ(serial.report.data, data);
+    ASSERT_EQ(serial.errors.size(), 1u);
+    EXPECT_EQ(serial.errors[0].stage, "reconstruction");
+    EXPECT_EQ(serial.status.reconstruction, StageStatus::Degraded);
+
+    // Salvaging is the same at any thread count: one error naming the
+    // lowest-index failing cluster, and every cluster reconstructed once.
+    const PipelineResult parallel = runAt(4);
+    ASSERT_EQ(parallel.errors.size(), serial.errors.size());
+    for (std::size_t i = 0; i < serial.errors.size(); ++i) {
+        EXPECT_EQ(parallel.errors[i].stage, serial.errors[i].stage);
+        EXPECT_EQ(parallel.errors[i].message, serial.errors[i].message);
+    }
+    const auto statuses = [](const StageStatusSet &s) {
+        return std::vector<StageStatus>{s.encoding, s.simulation,
+                                        s.clustering, s.reconstruction,
+                                        s.decoding};
+    };
+    EXPECT_EQ(statuses(parallel.status), statuses(serial.status));
+    EXPECT_EQ(parallel.report.ok, serial.report.ok);
+    EXPECT_EQ(parallel.report.data, serial.report.data);
+    EXPECT_EQ(parallel.metrics.counters.at("reconstruction.clusters_total"),
+              serial.metrics.counters.at("reconstruction.clusters_total"));
 }
 
 TEST(Pipeline, RecoveryPolicyRetriesWithRelaxedClusterFilter)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
 #include "reconstruction/reconstructor.hh"
@@ -163,6 +164,22 @@ TEST(NwConsensusThreads, ReconstructAllIdenticalAcrossThreadCounts)
     const auto serial = reconstructAll(nw, clusters, 120, 1);
     EXPECT_EQ(reconstructAll(nw, clusters, 120, 2), serial);
     EXPECT_EQ(reconstructAll(nw, clusters, 120, 4), serial);
+}
+
+TEST(NwConsensusThreads, OneClusterBuildsNoPool)
+{
+    // min(threads, clusters) <= 1: the batch runs on the caller, so no
+    // pool task is queued however many threads were asked for.
+    Rng rng(9);
+    const Strand s = strand::random(rng, 120);
+    const std::vector<std::vector<Strand>> clusters{{s, s, s}};
+    obs::Counter &tasks =
+        obs::metrics().counter("util.thread_pool.tasks_total");
+    const std::uint64_t before = tasks.value();
+    NwConsensusReconstructor nw;
+    EXPECT_EQ(reconstructAll(nw, clusters, 120, 4),
+              (std::vector<Strand>{s}));
+    EXPECT_EQ(tasks.value(), before);
 }
 
 } // namespace

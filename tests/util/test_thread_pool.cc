@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/stage_tag.hh"
@@ -92,8 +93,10 @@ TEST(ThreadPool, AggregatesAllWorkerExceptions)
     // report each one.
     ThreadPool pool(2); // 64 items -> min(64, 2*4) = 8 chunks of 8
     try {
-        pool.parallelChunks(0, 64, [](std::size_t lo, std::size_t) {
-            throw std::runtime_error("chunk@" + std::to_string(lo));
+        // A chunk stops at its first throwing item, so each chunk
+        // reports its own lower bound.
+        pool.parallelFor(0, 64, [](std::size_t i) {
+            throw std::runtime_error("chunk@" + std::to_string(i));
         });
         FAIL() << "expected a ParallelError";
     } catch (const ParallelError &error) {
@@ -112,13 +115,13 @@ TEST(ThreadPool, AggregatesAllWorkerExceptions)
 
 TEST(ThreadPool, AggregatesMixedSuccessAndFailure)
 {
-    ThreadPool pool(2);
+    ThreadPool pool(2); // 8 chunks of 8: [8, 16) and [40, 48) fail
     std::atomic<std::size_t> completed{0};
     try {
-        pool.parallelChunks(0, 64, [&](std::size_t lo, std::size_t hi) {
-            if (lo == 8 || lo == 40)
-                throw std::runtime_error("bad@" + std::to_string(lo));
-            completed.fetch_add(hi - lo);
+        pool.parallelFor(0, 64, [&](std::size_t i) {
+            if (i == 8 || i == 40)
+                throw std::runtime_error("bad@" + std::to_string(i));
+            completed.fetch_add(1);
         });
         FAIL() << "expected a ParallelError";
     } catch (const ParallelError &error) {
@@ -128,15 +131,73 @@ TEST(ThreadPool, AggregatesMixedSuccessAndFailure)
     EXPECT_EQ(completed.load(), 48u);
 }
 
-TEST(ThreadPool, ParallelChunksCoversRangeOnce)
+TEST(ThreadPool, ParallelForCoversOffsetRangeOnce)
 {
     ThreadPool pool(3);
+    std::vector<std::atomic<int>> hits(250);
     std::atomic<std::size_t> total{0};
-    pool.parallelChunks(10, 250, [&](std::size_t lo, std::size_t hi) {
-        EXPECT_LE(lo, hi);
-        total.fetch_add(hi - lo);
+    pool.parallelFor(10, 250, [&](std::size_t i) {
+        EXPECT_GE(i, 10u);
+        EXPECT_LT(i, 250u);
+        hits[i].fetch_add(1);
+        total.fetch_add(1);
     });
     EXPECT_EQ(total.load(), 240u);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), i < 10 ? 0 : 1) << i;
+}
+
+TEST(ThreadPool, PoolForRunsInlineUnlessTwoWorkersHelp)
+{
+    // min(threads, n) <= 1: no pool, the loop runs inline.
+    EXPECT_EQ(poolFor(0, 100), nullptr);
+    EXPECT_EQ(poolFor(1, 100), nullptr);
+    EXPECT_EQ(poolFor(4, 1), nullptr);
+    EXPECT_EQ(poolFor(4, 0), nullptr);
+}
+
+TEST(ThreadPool, PoolForSizesToTheWork)
+{
+    const auto capped = poolFor(4, 2);
+    ASSERT_NE(capped, nullptr);
+    EXPECT_EQ(capped->size(), 2u);
+    const auto full = poolFor(4, 100);
+    ASSERT_NE(full, nullptr);
+    EXPECT_EQ(full->size(), 4u);
+    const auto pair = poolFor(2, 2);
+    ASSERT_NE(pair, nullptr);
+    EXPECT_EQ(pair->size(), 2u);
+
+    // With a pool, forEachIndex still covers every index exactly once.
+    std::vector<std::atomic<int>> hits(500);
+    forEachIndex(full.get(), hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ForEachIndexWithoutPoolRunsInOrderOnCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool same_thread = true;
+    forEachIndex(nullptr, 6, [&](std::size_t i) {
+        order.push_back(i);
+        same_thread = same_thread && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+    EXPECT_TRUE(same_thread);
+
+    // Inline, the first exception propagates as is and stops the loop.
+    std::size_t ran = 0;
+    EXPECT_THROW(forEachIndex(nullptr, 6,
+                              [&](std::size_t i) {
+                                  ++ran;
+                                  if (i == 2)
+                                      throw std::out_of_range("two");
+                              }),
+                 std::out_of_range);
+    EXPECT_EQ(ran, 3u);
 }
 
 TEST(ThreadPool, SizeReportsWorkers)
