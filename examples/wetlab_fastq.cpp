@@ -65,13 +65,13 @@ main(int argc, char **argv)
 
     // --- Steps 1+2: synthesize and "sequence" into a FASTQ file. ---
     DnaPool pool;
-    pool.store(key, encoder.encode(data));
+    pool.store(0, key, encoder.encode(data));
 
     VirtualWetlabConfig channel_cfg;
     channel_cfg.base_error_rate = base_error;
     VirtualWetlabChannel channel(channel_cfg);
     CoverageModel cov(coverage, CoverageDistribution::LogNormalSkew);
-    auto run = simulateSequencing(pool.all(), channel, cov, rng);
+    auto run = simulateSequencing(pool.section(0), channel, cov, rng);
     for (std::size_t i = 0; i < run.reads.size(); i += 2)
         run.reads[i] = strand::reverseComplement(run.reads[i]);
     writeFastqFile(fastq_path, readsToFastq(run.reads, "nanopore"));

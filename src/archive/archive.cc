@@ -33,9 +33,6 @@ namespace dnastore::archive
 namespace
 {
 
-constexpr const char *kManifestFile = "manifest.json";
-constexpr const char *kPoolFile = "pool.fasta";
-
 /** Shard-size histogram bounds in bytes (powers of four up to 64 KiB). */
 std::vector<double>
 shardSizeBuckets()
@@ -98,6 +95,80 @@ tryParsePoolRecordPair(const std::string &id)
     if (ec != std::errc() || ptr != last || value > 0xFFFFFFFFULL)
         return std::nullopt;
     return static_cast<std::uint32_t>(value);
+}
+
+ArchiveFiles
+readArchiveFiles(const std::string &dir, bool crash_points)
+{
+    ArchiveFiles files;
+    const auto fail = [&files](ArchiveStatus status, std::string error,
+                               bool missing) {
+        files.status = status;
+        files.error = std::move(error);
+        files.missing_file = missing;
+        return std::move(files);
+    };
+
+    if (crash_points)
+        obs::crash::hit("archive.open.manifest");
+    std::ifstream manifest_in(manifestPath(dir), std::ios::binary);
+    if (!manifest_in)
+        return fail(ArchiveStatus::NotFound,
+                    "no manifest at " + manifestPath(dir), true);
+    std::ostringstream manifest_text;
+    manifest_text << manifest_in.rdbuf();
+    ManifestParseResult parsed = tryParseManifest(manifest_text.str());
+    if (!parsed.manifest)
+        return fail(ArchiveStatus::CorruptManifest, std::move(parsed.error),
+                    false);
+    files.manifest = std::move(parsed.manifest);
+
+    if (crash_points)
+        obs::crash::hit("archive.open.pool");
+    std::ifstream pool_in(poolPath(dir), std::ios::binary);
+    if (!pool_in)
+        return fail(ArchiveStatus::CorruptPool,
+                    "no pool file at " + poolPath(dir), true);
+    std::vector<FastaRecord> records;
+    try {
+        records = readFasta(pool_in);
+    } catch (const std::exception &e) {
+        return fail(ArchiveStatus::CorruptPool,
+                    std::string("unreadable pool file: ") + e.what(), false);
+    }
+
+    const std::uint32_t next_pair = files.manifest->nextPairId();
+    for (FastaRecord &record : records) {
+        const auto pair_id = tryParsePoolRecordPair(record.id);
+        if (!pair_id || *pair_id >= next_pair)
+            files.rejected.push_back({std::move(record.id), pair_id});
+        else
+            files.pool.addTagged(*pair_id, {std::move(record.sequence)});
+    }
+    for (const ObjectEntry &object : files.manifest->objects) {
+        for (const ShardEntry &shard : object.shards) {
+            const std::size_t actual =
+                files.pool.section(shard.pair_id).size();
+            if (actual != shard.strands)
+                files.mismatches.push_back(
+                    {object.name, shard.pair_id, shard.strands, actual});
+        }
+    }
+    return files;
+}
+
+bool
+writePoolFile(const std::string &dir, const DnaPool &pool)
+{
+    std::vector<FastaRecord> records;
+    records.reserve(pool.size());
+    for (const DnaPool::Section &section : pool.sections())
+        for (const Strand &molecule : section.molecules)
+            records.push_back(
+                {poolRecordId(records.size(), section.key), molecule});
+    std::ostringstream pool_text;
+    writeFasta(pool_text, records);
+    return obs::writeTextFile(poolPath(dir), pool_text.str());
 }
 
 const char *
@@ -212,105 +283,55 @@ OpenResult
 Archive::open(const std::string &dir)
 {
     OpenResult result;
-    obs::crash::hit("archive.open.manifest");
-    std::ifstream manifest_in(manifestPath(dir), std::ios::binary);
-    if (!manifest_in) {
-        result.status = ArchiveStatus::NotFound;
-        result.error = "no manifest at " + manifestPath(dir);
-        return result;
-    }
-    std::ostringstream manifest_text;
-    manifest_text << manifest_in.rdbuf();
-
-    ManifestParseResult parsed = tryParseManifest(manifest_text.str());
-    if (!parsed.manifest) {
-        result.status = ArchiveStatus::CorruptManifest;
-        result.error = parsed.error;
+    ArchiveFiles files = readArchiveFiles(dir, /*crash_points=*/true);
+    if (!files.manifest) {
+        result.status = files.status;
+        result.error = std::move(files.error);
         return result;
     }
 
     Archive archive;
     archive.dir_ = dir;
-    archive.manifest_ = std::move(*parsed.manifest);
+    archive.manifest_ = std::move(*files.manifest);
     if (!archive.buildCodecs(result.error)) {
         result.status = ArchiveStatus::CorruptManifest;
         return result;
     }
-
-    obs::crash::hit("archive.open.pool");
-    std::ifstream pool_in(poolPath(dir), std::ios::binary);
-    if (!pool_in) {
-        result.status = ArchiveStatus::CorruptPool;
-        result.error = "no pool file at " + poolPath(dir);
+    if (files.status != ArchiveStatus::Ok) {
+        result.status = files.status;
+        result.error = std::move(files.error);
         return result;
     }
-    std::vector<FastaRecord> records;
-    try {
-        records = readFasta(pool_in);
-    } catch (const std::exception &e) {
-        result.status = ArchiveStatus::CorruptPool;
-        result.error = std::string("unreadable pool file: ") + e.what();
-        return result;
-    }
-
-    const std::uint32_t next_pair = archive.manifest_.nextPairId();
-    std::vector<std::size_t> per_pair(next_pair, 0);
-    archive.pool_.reserve(records.size());
-    archive.pool_pairs_.reserve(records.size());
-    for (const FastaRecord &record : records) {
-        const auto pair_id = tryParsePoolRecordPair(record.id);
-        if (!pair_id) {
+    // Orphans of an interrupted save (pool committed, manifest not) are
+    // already left out of files.pool — the next save rewrites the pool
+    // without them — but a malformed id or a short pair is corruption.
+    for (const RejectedPoolRecord &record : files.rejected) {
+        if (!record.pair_id) {
             result.status = ArchiveStatus::CorruptPool;
-            result.error = "pool record with unparsable pair id: " +
-                           record.id;
+            result.error =
+                "pool record with unparsable pair id: " + record.id;
             return result;
         }
-        // Records under pair ids the manifest does not reference are
-        // orphans of an interrupted save (pool committed, manifest
-        // not): drop them — the next save rewrites the pool without
-        // them — instead of refusing to open the archive.
-        if (*pair_id >= next_pair)
-            continue;
-        per_pair[*pair_id] += 1;
-        archive.pool_.push_back(record.sequence);
-        archive.pool_pairs_.push_back(*pair_id);
     }
-    for (const ObjectEntry &object : archive.manifest_.objects) {
-        for (const ShardEntry &shard : object.shards) {
-            if (per_pair[shard.pair_id] != shard.strands) {
-                result.status = ArchiveStatus::CorruptPool;
-                result.error = "pool/manifest mismatch for object '" +
-                               object.name + "' pair " +
-                               std::to_string(shard.pair_id) +
-                               ": manifest says " +
-                               std::to_string(shard.strands) +
-                               " strands, pool has " +
-                               std::to_string(per_pair[shard.pair_id]);
-                return result;
-            }
-        }
+    if (!files.mismatches.empty()) {
+        const StrandCountMismatch &first = files.mismatches.front();
+        result.status = ArchiveStatus::CorruptPool;
+        result.error = "pool/manifest mismatch for object '" +
+                       first.object + "' pair " +
+                       std::to_string(first.pair_id) + ": manifest says " +
+                       std::to_string(first.expected) +
+                       " strands, pool has " + std::to_string(first.actual);
+        return result;
     }
 
+    archive.pool_ = std::move(files.pool);
     result.archive = std::move(archive);
     return result;
 }
 
 bool
-Archive::save(std::string &error)
+Archive::save(std::string &error, std::vector<DnaPool::Section> added)
 {
-    // The pool's pair-0 section mirrors the manifest; rebuild it so the
-    // DNA copy always matches what manifest.json says.
-    std::vector<Strand> kept;
-    std::vector<std::uint32_t> kept_pairs;
-    kept.reserve(pool_.size());
-    kept_pairs.reserve(pool_.size());
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-        if (pool_pairs_[i] != kManifestPairId) {
-            kept.push_back(pool_[i]);
-            kept_pairs.push_back(pool_pairs_[i]);
-        }
-    }
-
     if (!ensurePairs(
             std::max<std::size_t>(1, manifest_.nextPairId()), error))
         return false;
@@ -328,17 +349,15 @@ Archive::save(std::string &error)
     for (Strand &payload : manifest_strands)
         payload = attachPrimers(manifest_pair, payload);
 
-    std::vector<FastaRecord> records;
-    records.reserve(kept.size() + manifest_strands.size());
-    for (std::size_t i = 0; i < kept.size(); ++i)
-        records.push_back({poolRecordId(records.size(), kept_pairs[i]),
-                           kept[i]});
-    for (const Strand &molecule : manifest_strands)
-        records.push_back(
-            {poolRecordId(records.size(), kManifestPairId), molecule});
-
-    std::ostringstream pool_text;
-    writeFasta(pool_text, records);
+    // The kept sections, then the added ones, then the pair-0 section:
+    // it mirrors the manifest, so it is rebuilt (last) on every save.
+    DnaPool next;
+    for (const DnaPool::Section &section : pool_.sections())
+        if (section.key != kManifestPairId)
+            next.addTagged(section.key, section.molecules);
+    for (DnaPool::Section &section : added)
+        next.addTagged(section.key, std::move(section.molecules));
+    next.addTagged(kManifestPairId, std::move(manifest_strands));
 
     // Both files go through the atomic temp+rename writer, and the
     // manifest rename is the commit point: the pool lands first, so a
@@ -350,7 +369,7 @@ Archive::save(std::string &error)
     // let the chaos harness and fsck tests kill the process at each
     // window of this protocol (obs.write.* points cover mid-write).
     obs::crash::hit("archive.save.pool");
-    if (!obs::writeTextFile(poolPath(dir_), pool_text.str())) {
+    if (!writePoolFile(dir_, next)) {
         error = "cannot write " + poolPath(dir_);
         return false;
     }
@@ -361,12 +380,7 @@ Archive::save(std::string &error)
     }
     obs::crash::hit("archive.save.commit");
 
-    pool_ = std::move(kept);
-    pool_pairs_ = std::move(kept_pairs);
-    for (Strand &molecule : manifest_strands) {
-        pool_.push_back(std::move(molecule));
-        pool_pairs_.push_back(kManifestPairId);
-    }
+    pool_ = std::move(next);
     return true;
 }
 
@@ -412,7 +426,7 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
 
     // Each shard is an independent codec run; encode them as a batch
     // over the thread pool (encoder is const and thus shareable).
-    std::vector<std::vector<Strand>> tagged(num_shards);
+    std::vector<DnaPool::Section> tagged(num_shards);
     std::vector<std::string> failures(num_shards);
     const auto encodeShard = [&](std::size_t s) {
         const std::size_t begin =
@@ -436,7 +450,7 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
             entry.units = static_cast<std::uint32_t>(
                 encoder_->unitsForSize(shard_bytes.size()));
             entry.strands = static_cast<std::uint32_t>(strands.size());
-            tagged[s] = std::move(strands);
+            tagged[s] = {pair_id, std::move(strands)};
         } catch (const std::exception &e) {
             failures[s] = e.what();
         }
@@ -459,22 +473,12 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
         }
     }
 
-    // Merge into the pool; roll everything back if persisting fails so
-    // the in-memory state never diverges from disk.
-    const std::size_t pool_before = pool_.size();
-    for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::uint32_t pair_id = object.shards[s].pair_id;
-        for (Strand &molecule : tagged[s]) {
-            pool_.push_back(std::move(molecule));
-            pool_pairs_.push_back(pair_id);
-        }
-    }
+    // save() merges the shards into the pool only once both files are
+    // written; roll the manifest entry back if it fails so the
+    // in-memory state never diverges from disk.
     manifest_.objects.push_back(object);
-
-    if (!save(result.error)) {
+    if (!save(result.error, std::move(tagged))) {
         manifest_.objects.pop_back();
-        pool_.resize(pool_before);
-        pool_pairs_.resize(pool_before);
         result.status = ArchiveStatus::IoError;
         return result;
     }
@@ -504,28 +508,10 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
         const PrimerPair pair = publishedLibrary().pairFor(shard.pair_id);
         Rng rng(shardSeed(config.seed, shard.pair_id));
 
-        // PCR selection: pull this shard's molecules out of the mixed
-        // pool (plus off-target leakage when configured).
-        DnaPool pool;
-        std::vector<Strand> mine;
-        for (std::size_t i = 0; i < pool_.size(); ++i) {
-            if (pool_pairs_[i] == shard.pair_id) {
-                mine.push_back(pool_[i]);
-            }
-        }
-        pool.addTagged(pair, mine);
-        if (config.pcr_off_target > 0.0) {
-            // Off-target molecules need their own tags so amplify() can
-            // tell them apart from the shard's own product.
-            for (std::size_t i = 0; i < pool_.size(); ++i) {
-                if (pool_pairs_[i] != shard.pair_id) {
-                    pool.addTagged(publishedLibrary().pairFor(pool_pairs_[i]),
-                                   {pool_[i]});
-                }
-            }
-        }
+        // PCR selection: this shard's section of the mixed pool (plus
+        // off-target leakage when configured).
         const PcrProduct product =
-            amplify(pool, pair, rng, {config.pcr_off_target});
+            amplify(pool_, shard.pair_id, rng, {config.pcr_off_target});
 
         // Simulated sequencing of the amplified product.
         const CoverageModel coverage(config.coverage,
@@ -802,11 +788,7 @@ Archive::decodeManifestFromDna(const RetrievalConfig &config) const
 {
     ManifestParseResult parsed;
 
-    std::size_t manifest_molecules = 0;
-    for (const std::uint32_t pair_id : pool_pairs_)
-        if (pair_id == kManifestPairId)
-            ++manifest_molecules;
-    if (manifest_molecules == 0) {
+    if (pool_.section(kManifestPairId).empty()) {
         parsed.error = "pool holds no manifest molecules (pair 0)";
         return parsed;
     }

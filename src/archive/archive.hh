@@ -43,6 +43,7 @@
 #include "archive/manifest.hh"
 #include "core/fault.hh"
 #include "core/pipeline.hh"
+#include "core/pool.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
 
@@ -77,6 +78,58 @@ const char *archiveStatusName(ArchiveStatus status);
 /** Recover the pair id from a pool record id; nullopt when malformed. */
 [[nodiscard]] std::optional<std::uint32_t>
 tryParsePoolRecordPair(const std::string &id);
+
+/** The two files of an archive directory. */
+inline constexpr const char *kManifestFile = "manifest.json";
+inline constexpr const char *kPoolFile = "pool.fasta";
+
+/** A pool record no manifest pair can address. */
+struct RejectedPoolRecord
+{
+    std::string id;
+    std::optional<std::uint32_t> pair_id; //!< Orphan pair; none: malformed.
+};
+
+/** A shard whose pair holds a different strand count than promised. */
+struct StrandCountMismatch
+{
+    std::string object;
+    std::uint32_t pair_id = 0;
+    std::size_t expected = 0; //!< Strands the manifest promises.
+    std::size_t actual = 0;   //!< Strands the pool holds.
+};
+
+/**
+ * Everything read from an archive directory, before any policy: open()
+ * refuses malformed records and count mismatches, fsck reports and
+ * repairs them.  A file that is absent or unparsable stops the read
+ * with status != Ok; the manifest is set unless it was that file.
+ */
+struct ArchiveFiles
+{
+    ArchiveStatus status = ArchiveStatus::Ok;
+    std::string error;
+    bool missing_file = false; //!< The failed file is absent, not corrupt.
+    std::optional<ArchiveManifest> manifest;
+    DnaPool pool; //!< Records under referenced pair ids, grouped by pair.
+    std::vector<RejectedPoolRecord> rejected; //!< In file order.
+    std::vector<StrandCountMismatch> mismatches; //!< In manifest order.
+};
+
+/**
+ * Read manifest.json and pool.fasta of @p dir: parse the manifest,
+ * parse every record id and group molecules by pair, collecting the
+ * malformed, orphan and strand-count facts.  @p crash_points hits
+ * open()'s crash points (archive.open.manifest / .pool) before each read.
+ */
+[[nodiscard]] ArchiveFiles readArchiveFiles(const std::string &dir,
+                                            bool crash_points);
+
+/**
+ * Atomically write @p pool as the pool file of @p dir: sections in
+ * order, record ids poolRecordId(index, key) with contiguous indices.
+ */
+bool writePoolFile(const std::string &dir, const DnaPool &pool);
 
 /** Which channel model the retrieval simulation pushes reads through. */
 enum class RetrievalChannel : std::uint8_t
@@ -242,8 +295,11 @@ class Archive
      */
     bool ensurePairs(std::size_t num_pairs, std::string &error) const;
 
-    /** Persist manifest.json + pool.fasta (incl. DNA manifest copy). */
-    bool save(std::string &error);
+    /**
+     * Persist manifest.json + pool.fasta (incl. DNA manifest copy) with
+     * the @p added sections appended; pool_ takes them only on success.
+     */
+    bool save(std::string &error, std::vector<DnaPool::Section> added = {});
 
     /**
      * Read access to the designed primer library after a successful
@@ -266,8 +322,7 @@ class Archive
 
     std::string dir_;
     ArchiveManifest manifest_;
-    std::vector<Strand> pool_;              //!< Tagged molecules.
-    std::vector<std::uint32_t> pool_pairs_; //!< Pair id per molecule.
+    DnaPool pool_; //!< Tagged molecules, one section per pair id.
     std::shared_ptr<MatrixEncoder> encoder_;
     std::shared_ptr<MatrixDecoder> decoder_;
     /** Guards library_'s lazy design from concurrent const callers;

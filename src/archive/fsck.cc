@@ -1,14 +1,10 @@
 #include "archive/fsck.hh"
 
 #include <algorithm>
-#include <exception>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "archive/manifest.hh"
-#include "dna/fastx.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/report.hh"
@@ -19,9 +15,6 @@ namespace dnastore::archive
 
 namespace
 {
-
-constexpr const char *kManifestFile = "manifest.json";
-constexpr const char *kPoolFile = "pool.fasta";
 
 /**
  * True for "<base>.tmp.<digits>.<digits>" — the staging-name pattern
@@ -215,101 +208,64 @@ fsckArchive(const std::string &dir, const FsckOptions &options)
     //    crashed create() can orphan a temp next to nothing else.
     auditStagingFiles(dir, options.repair, report);
 
-    // 2. Manifest: must exist, parse, CRC-verify and hold the pair-id
-    //    invariant (tryParseManifest enforces all of it).
-    const std::string manifest_path = dir + "/" + kManifestFile;
-    std::ifstream manifest_in(manifest_path, std::ios::binary);
-    if (!manifest_in) {
-        addFinding(report, FsckFindingKind::MissingManifest,
-                   FsckSeverity::Error, false, kManifestFile,
-                   "no manifest at " + manifest_path);
-        report.status = ArchiveStatus::NotFound;
-        report.error = "no manifest at " + manifest_path;
+    // 2. Load both files through the reader open() uses.  The manifest
+    //    must exist, parse, CRC-verify and hold the pair-id invariant
+    //    (tryParseManifest enforces all of it); the pool must be FASTA.
+    const ArchiveFiles files = readArchiveFiles(dir, /*crash_points=*/false);
+    if (files.manifest) {
+        report.objects = files.manifest->objects.size();
+        report.shards = files.manifest->totalShards();
+    }
+    if (files.status != ArchiveStatus::Ok) {
+        const bool pool = files.manifest.has_value(); // Which file failed.
+        const FsckFindingKind kind =
+            pool ? (files.missing_file ? FsckFindingKind::MissingPool
+                                       : FsckFindingKind::UnreadablePool)
+                 : (files.missing_file ? FsckFindingKind::MissingManifest
+                                       : FsckFindingKind::CorruptManifest);
+        addFinding(report, kind, FsckSeverity::Error, false,
+                   pool ? kPoolFile : kManifestFile, files.error);
+        report.status = files.status;
+        report.error = files.error;
         return report;
     }
-    std::ostringstream manifest_text;
-    manifest_text << manifest_in.rdbuf();
-    ManifestParseResult parsed = tryParseManifest(manifest_text.str());
-    if (!parsed.manifest) {
-        addFinding(report, FsckFindingKind::CorruptManifest,
-                   FsckSeverity::Error, false, kManifestFile,
-                   parsed.error);
-        report.status = ArchiveStatus::CorruptManifest;
-        report.error = parsed.error;
-        return report;
-    }
-    const ArchiveManifest &manifest = *parsed.manifest;
-    report.objects = manifest.objects.size();
-    report.shards = manifest.totalShards();
+    report.pool_records = files.pool.size() + files.rejected.size();
 
     // 3. Pool audit: every record must parse and belong to a pair the
     //    manifest references; referenced pairs must hold exactly the
-    //    strand counts the manifest promises.
-    const std::string pool_path = dir + "/" + kPoolFile;
-    std::ifstream pool_in(pool_path, std::ios::binary);
-    if (!pool_in) {
-        addFinding(report, FsckFindingKind::MissingPool,
-                   FsckSeverity::Error, false, kPoolFile,
-                   "no pool file at " + pool_path);
-        report.status = ArchiveStatus::CorruptPool;
-        report.error = "no pool file at " + pool_path;
-        return report;
-    }
-    std::vector<FastaRecord> records;
-    try {
-        records = readFasta(pool_in);
-    } catch (const std::exception &e) {
-        addFinding(report, FsckFindingKind::UnreadablePool,
-                   FsckSeverity::Error, false, kPoolFile,
-                   std::string("unreadable pool file: ") + e.what());
-        report.status = ArchiveStatus::CorruptPool;
-        report.error = std::string("unreadable pool file: ") + e.what();
-        return report;
-    }
-    report.pool_records = records.size();
-
-    const std::uint32_t next_pair = manifest.nextPairId();
-    std::vector<std::size_t> per_pair(next_pair, 0);
-    std::vector<bool> keep(records.size(), true);
-    bool pool_dirty = false;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto pair_id = tryParsePoolRecordPair(records[i].id);
-        if (!pair_id) {
+    //    strand counts the manifest promises.  Repair drops orphaned and
+    //    malformed records by an atomic rewrite of the pool as loaded;
+    //    renumbering record indices is safe — only the pair id is load-
+    //    bearing — and matches what the next save would emit anyway.
+    const bool rewritten = options.repair && !files.rejected.empty() &&
+                           writePoolFile(dir, files.pool);
+    for (const RejectedPoolRecord &record : files.rejected) {
+        if (!record.pair_id) {
             addFinding(report, FsckFindingKind::MalformedPoolRecord,
-                       FsckSeverity::Warning, true, records[i].id,
+                       FsckSeverity::Warning, true, record.id,
                        "pool record without a parsable pair id");
-            keep[i] = false;
-            pool_dirty = true;
-            continue;
-        }
-        if (*pair_id >= next_pair) {
+        } else {
             addFinding(report, FsckFindingKind::OrphanPoolRecord,
-                       FsckSeverity::Warning, true, records[i].id,
-                       "pair " + std::to_string(*pair_id) +
+                       FsckSeverity::Warning, true, record.id,
+                       "pair " + std::to_string(*record.pair_id) +
                            " is not referenced by the manifest "
                            "(interrupted save: pool committed, manifest "
                            "not)");
-            keep[i] = false;
-            pool_dirty = true;
-            continue;
         }
-        per_pair[*pair_id] += 1;
+        report.findings.back().repaired = rewritten;
+        report.repaired_count += rewritten ? 1 : 0;
     }
-    for (const ObjectEntry &object : manifest.objects) {
-        for (const ShardEntry &shard : object.shards) {
-            if (per_pair[shard.pair_id] == shard.strands)
-                continue;
-            addFinding(
-                report, FsckFindingKind::StrandCountMismatch,
-                FsckSeverity::Error, false, object.name,
-                "pair " + std::to_string(shard.pair_id) +
-                    ": manifest promises " +
-                    std::to_string(shard.strands) + " strands, pool has " +
-                    std::to_string(per_pair[shard.pair_id]));
-            report.status = ArchiveStatus::CorruptPool;
-        }
+    for (const StrandCountMismatch &mismatch : files.mismatches) {
+        addFinding(report, FsckFindingKind::StrandCountMismatch,
+                   FsckSeverity::Error, false, mismatch.object,
+                   "pair " + std::to_string(mismatch.pair_id) +
+                       ": manifest promises " +
+                       std::to_string(mismatch.expected) +
+                       " strands, pool has " +
+                       std::to_string(mismatch.actual));
+        report.status = ArchiveStatus::CorruptPool;
     }
-    if (next_pair > 0 && per_pair[kManifestPairId] == 0) {
+    if (files.pool.section(kManifestPairId).empty()) {
         addFinding(report, FsckFindingKind::MissingDnaManifest,
                    FsckSeverity::Warning, false, kPoolFile,
                    "pool holds no pair-0 molecules: the DNA-encoded "
@@ -318,35 +274,7 @@ fsckArchive(const std::string &dir, const FsckOptions &options)
     if (report.status != ArchiveStatus::Ok)
         report.error = "pool/manifest strand counts diverge";
 
-    // 4. Repair: drop orphaned/malformed records by an atomic rewrite.
-    //    Renumbering record indices is safe — only the pair id is load-
-    //    bearing — and matches what the next save would emit anyway.
-    if (options.repair && pool_dirty) {
-        std::vector<FastaRecord> kept;
-        kept.reserve(records.size());
-        for (std::size_t i = 0; i < records.size(); ++i) {
-            if (!keep[i])
-                continue;
-            const auto pair_id = tryParsePoolRecordPair(records[i].id);
-            kept.push_back({poolRecordId(kept.size(), *pair_id),
-                            std::move(records[i].sequence)});
-        }
-        std::ostringstream pool_text;
-        writeFasta(pool_text, kept);
-        if (obs::writeTextFile(pool_path, pool_text.str())) {
-            for (FsckFinding &finding : report.findings) {
-                if ((finding.kind == FsckFindingKind::OrphanPoolRecord ||
-                     finding.kind ==
-                         FsckFindingKind::MalformedPoolRecord) &&
-                    !finding.repaired) {
-                    finding.repaired = true;
-                    report.repaired_count += 1;
-                }
-            }
-        }
-    }
-
-    // 5. Deep scrub through the codec (decodes mixed-pool shards, so it
+    // 4. Deep scrub through the codec (decodes mixed-pool shards, so it
     //    runs after any repair to audit what a reader would now see).
     if (options.deep && report.status == ArchiveStatus::Ok)
         deepScrub(dir, options, report);

@@ -1,49 +1,66 @@
 #include "core/pool.hh"
 
+#include <iterator>
+
 #include "obs/metrics.hh"
 
 namespace dnastore
 {
 
+namespace
+{
+const std::vector<Strand> kNoMolecules;
+} // namespace
+
 void
-DnaPool::store(const PrimerPair &key,
+DnaPool::store(Key key, const PrimerPair &primers,
                const std::vector<Strand> &payload_strands)
 {
-    molecules.reserve(molecules.size() + payload_strands.size());
-    forward_tags.reserve(forward_tags.size() + payload_strands.size());
-    for (const Strand &payload : payload_strands) {
-        molecules.push_back(attachPrimers(key, payload));
-        forward_tags.push_back(key.forward);
-    }
+    std::vector<Strand> tagged;
+    tagged.reserve(payload_strands.size());
+    for (const Strand &payload : payload_strands)
+        tagged.push_back(attachPrimers(primers, payload));
+    addTagged(key, std::move(tagged));
 }
 
 void
-DnaPool::addTagged(const PrimerPair &key,
-                   const std::vector<Strand> &tagged_molecules)
+DnaPool::addTagged(Key key, std::vector<Strand> tagged_molecules)
 {
-    molecules.reserve(molecules.size() + tagged_molecules.size());
-    forward_tags.reserve(forward_tags.size() + tagged_molecules.size());
-    for (const Strand &molecule : tagged_molecules) {
-        molecules.push_back(molecule);
-        forward_tags.push_back(key.forward);
-    }
+    size_ += tagged_molecules.size();
+    const auto [slot, fresh] = index_.try_emplace(key, sections_.size());
+    if (fresh)
+        sections_.push_back({key, {}});
+    std::vector<Strand> &molecules = sections_[slot->second].molecules;
+    molecules.insert(molecules.end(),
+                     std::make_move_iterator(tagged_molecules.begin()),
+                     std::make_move_iterator(tagged_molecules.end()));
+}
+
+const std::vector<Strand> &
+DnaPool::section(Key key) const
+{
+    const auto slot = index_.find(key);
+    return slot == index_.end() ? kNoMolecules
+                                : sections_[slot->second].molecules;
 }
 
 PcrProduct
-amplify(const DnaPool &pool, const PrimerPair &key, Rng &rng,
+amplify(const DnaPool &pool, DnaPool::Key key, Rng &rng,
         const PcrConfig &config)
 {
     PcrProduct product;
-    const auto &molecules = pool.all();
-    const auto &tags = pool.tags();
-    for (std::size_t i = 0; i < molecules.size(); ++i) {
-        if (tags[i] == key.forward) {
-            product.molecules.push_back(molecules[i]);
-            ++product.on_target;
-        } else if (config.off_target_rate > 0.0 &&
-                   rng.chance(config.off_target_rate)) {
-            product.molecules.push_back(molecules[i]);
-            ++product.off_target;
+    product.molecules = pool.section(key);
+    product.on_target = product.molecules.size();
+    if (config.off_target_rate > 0.0) {
+        for (const DnaPool::Section &section : pool.sections()) {
+            if (section.key == key)
+                continue;
+            for (const Strand &molecule : section.molecules) {
+                if (rng.chance(config.off_target_rate)) {
+                    product.molecules.push_back(molecule);
+                    ++product.off_target;
+                }
+            }
         }
     }
     obs::metrics().counter("pool.pcr_reactions_total").add(1);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "codec/primer.hh"
@@ -19,34 +20,48 @@
 namespace dnastore
 {
 
-/** A test tube of primer-tagged molecules from any number of files. */
+/**
+ * A test tube of primer-tagged molecules from any number of files,
+ * grouped into one section per key (the integer id of the primer pair
+ * the molecules carry).  Sections keep first-insertion order, which is
+ * the pool order amplify() leaks off-target molecules in.
+ */
 class DnaPool
 {
   public:
-    /** Attach the key's primers to each payload strand and store them. */
-    void store(const PrimerPair &key,
+    using Key = std::uint32_t;
+
+    /** The molecules stored under one key. */
+    struct Section
+    {
+        Key key = 0;
+        std::vector<Strand> molecules;
+    };
+
+    /** Attach @p primers to each payload strand and store under @p key. */
+    void store(Key key, const PrimerPair &primers,
                const std::vector<Strand> &payload_strands);
 
     /**
-     * Store molecules that already carry their primers (e.g. reloaded
-     * from a pool file); @p key identifies the pair they were tagged
-     * with so amplify() can select them.
+     * Append molecules that already carry their primers (e.g. reloaded
+     * from a pool file) to @p key's section, creating it at the end of
+     * the pool when absent.
      */
-    void addTagged(const PrimerPair &key,
-                   const std::vector<Strand> &tagged_molecules);
+    void addTagged(Key key, std::vector<Strand> tagged_molecules);
+
+    /** Molecules stored under @p key; empty when the key is absent. */
+    const std::vector<Strand> &section(Key key) const;
+
+    /** Every section, in first-insertion order. */
+    const std::vector<Section> &sections() const { return sections_; }
 
     /** Number of stored molecules (all files). */
-    std::size_t size() const { return molecules.size(); }
-
-    /** All molecules, tagged (for whole-pool sequencing). */
-    const std::vector<Strand> &all() const { return molecules; }
-
-    /** Forward primer of the pair each molecule was stored under. */
-    const std::vector<Strand> &tags() const { return forward_tags; }
+    std::size_t size() const { return size_; }
 
   private:
-    std::vector<Strand> molecules;
-    std::vector<Strand> forward_tags;
+    std::vector<Section> sections_;
+    std::unordered_map<Key, std::size_t> index_; //!< Key -> sections_ slot.
+    std::size_t size_ = 0;
 };
 
 /** Knobs of the PCR random-access simulation. */
@@ -69,11 +84,11 @@ struct PcrProduct
 
 /**
  * Simulate PCR selection of a file: every molecule stored under @p key
- * is amplified; other molecules leak in at the configured off-target
- * rate.
+ * is amplified and comes first, in store order; then each other
+ * molecule, in pool order, leaks in with one rng.chance draw at the
+ * configured off-target rate (no draws at rate 0).
  */
-PcrProduct amplify(const DnaPool &pool, const PrimerPair &key, Rng &rng,
+PcrProduct amplify(const DnaPool &pool, DnaPool::Key key, Rng &rng,
                    const PcrConfig &config = {});
 
 } // namespace dnastore
-

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "archive/fsck.hh"
 #include "obs/metrics.hh"
 #include "util/random.hh"
 
@@ -100,6 +103,16 @@ joinRecords(const std::vector<std::string> &records)
     for (const std::string &record : records)
         out += record;
     return out;
+}
+
+/** Whether fsck reported a finding of @p kind. */
+bool
+hasFinding(const FsckReport &report, FsckFindingKind kind)
+{
+    return std::any_of(report.findings.begin(), report.findings.end(),
+                       [kind](const FsckFinding &finding) {
+                           return finding.kind == kind;
+                       });
 }
 
 } // namespace
@@ -318,6 +331,22 @@ TEST_F(ArchiveTest, OpenRejectsMangledPoolRecords)
         const auto reopened = Archive::open(dir());
         EXPECT_EQ(reopened.status, ArchiveStatus::CorruptPool) << id;
         EXPECT_NE(reopened.error.find("pair"), std::string::npos) << id;
+
+        // fsck reads the pool through the same loader and must agree.
+        const FsckReport audit = fsckArchive(dir());
+        EXPECT_FALSE(audit.healthy()) << id;
+        if (std::string(id) == "m0 pair=7") {
+            EXPECT_TRUE(
+                hasFinding(audit, FsckFindingKind::OrphanPoolRecord))
+                << id;
+            EXPECT_TRUE(
+                hasFinding(audit, FsckFindingKind::StrandCountMismatch))
+                << id;
+        } else {
+            EXPECT_TRUE(
+                hasFinding(audit, FsckFindingKind::MalformedPoolRecord))
+                << id;
+        }
     }
 
     // Dropping one of the object's molecules (the first record; pair-0
@@ -330,6 +359,61 @@ TEST_F(ArchiveTest, OpenRejectsMangledPoolRecords)
     EXPECT_EQ(short_pool.status, ArchiveStatus::CorruptPool);
     EXPECT_NE(short_pool.error.find("mismatch"), std::string::npos)
         << short_pool.error;
+    EXPECT_TRUE(hasFinding(fsckArchive(dir()),
+                           FsckFindingKind::StrandCountMismatch));
+}
+
+TEST_F(ArchiveTest, PoolFileStaysGroupedAcrossReopen)
+{
+    // Every save writes the pool one pair at a time — object pairs in
+    // ascending id order, the DNA manifest copy (pair 0) last — and a
+    // reopened archive keeps that order, so records of an untouched
+    // object are rewritten byte for byte.
+    {
+        auto created = Archive::create(dir(), smallParams());
+        ASSERT_TRUE(created.ok()) << created.error;
+        ASSERT_TRUE(created.archive->put("a", patternBytes(600, 19)).ok());
+    }
+    const std::string pool_path = dir() + "/pool.fasta";
+    const std::vector<std::string> before = fastaRecords(slurp(pool_path));
+    auto reopened = Archive::open(dir());
+    ASSERT_TRUE(reopened.ok()) << reopened.error;
+    ASSERT_TRUE(reopened.archive->put("b", patternBytes(300, 20)).ok());
+    const std::vector<std::string> after = fastaRecords(slurp(pool_path));
+    ASSERT_EQ(after.size(), reopened.archive->poolSize());
+
+    std::vector<std::uint32_t> pairs;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+        const std::string id = after[i].substr(1, after[i].find('\n') - 1);
+        EXPECT_EQ(id.rfind("m" + std::to_string(i) + " ", 0), 0u) << id;
+        const auto pair_id = tryParsePoolRecordPair(id);
+        ASSERT_TRUE(pair_id.has_value()) << id;
+        pairs.push_back(*pair_id);
+    }
+    const auto manifest_begin =
+        std::find(pairs.begin(), pairs.end(), kManifestPairId);
+    ASSERT_NE(manifest_begin, pairs.begin());
+    EXPECT_TRUE(std::is_sorted(pairs.begin(), manifest_begin));
+    EXPECT_TRUE(std::all_of(manifest_begin, pairs.end(), [](auto pair_id) {
+        return pair_id == kManifestPairId;
+    }));
+    EXPECT_EQ(pairs.front(), 1u);
+    EXPECT_EQ(*(manifest_begin - 1),
+              reopened.archive->manifest().nextPairId() - 1);
+
+    // Object a's records (everything before its manifest copy) did not
+    // move or change.
+    const ObjectEntry *a = reopened.archive->stat("a");
+    ASSERT_NE(a, nullptr);
+    std::size_t a_records = 0;
+    for (const ShardEntry &shard : a->shards)
+        a_records += shard.strands;
+    ASSERT_LE(a_records, before.size());
+    ASSERT_LE(a_records, after.size());
+    EXPECT_TRUE(std::equal(before.begin(),
+                           before.begin() +
+                               static_cast<std::ptrdiff_t>(a_records),
+                           after.begin()));
 }
 
 TEST_F(ArchiveTest, OpenRejectsHandEditedPairIds)

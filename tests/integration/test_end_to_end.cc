@@ -64,11 +64,11 @@ TEST(EndToEnd, RandomAccessRetrievalFromSharedPool)
     const auto file_b = randomData(rng, 2000);
 
     DnaPool pool;
-    pool.store(key_a, encoder.encode(file_a));
-    pool.store(key_b, encoder.encode(file_b));
+    pool.store(0, key_a, encoder.encode(file_a));
+    pool.store(1, key_b, encoder.encode(file_b));
 
     // Random access: amplify file A only.
-    const auto product = amplify(pool, key_a, rng);
+    const auto product = amplify(pool, 0, rng);
     ASSERT_EQ(product.on_target,
               encoder.unitsForSize(file_a.size()) * codec_cfg.rs_n);
 
@@ -110,11 +110,12 @@ TEST(EndToEnd, FastqInterchangeRoundTrip)
 
     const auto data = randomData(rng, 1500);
     DnaPool pool;
-    pool.store(key, encoder.encode(data));
+    pool.store(0, key, encoder.encode(data));
 
     IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.03));
     CoverageModel coverage(10.0);
-    const auto run = simulateSequencing(pool.all(), channel, coverage, rng);
+    const auto run =
+        simulateSequencing(pool.section(0), channel, coverage, rng);
 
     // Serialise through FASTQ text (as a sequencer hands data over).
     std::stringstream fastq_stream;
@@ -176,12 +177,12 @@ TEST(EndToEnd, ContaminatedPcrStillDecodes)
     const auto file_a = randomData(rng, 2000);
     const auto file_b = randomData(rng, 2000);
     DnaPool pool;
-    pool.store(lib.pairFor(0), encoder.encode(file_a));
-    pool.store(lib.pairFor(1), encoder.encode(file_b));
+    pool.store(0, lib.pairFor(0), encoder.encode(file_a));
+    pool.store(1, lib.pairFor(1), encoder.encode(file_b));
 
     PcrConfig pcr;
     pcr.off_target_rate = 0.02;
-    const auto product = amplify(pool, lib.pairFor(0), rng, pcr);
+    const auto product = amplify(pool, 0, rng, pcr);
 
     IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.03));
     CoverageModel coverage(10.0);
