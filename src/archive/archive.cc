@@ -553,7 +553,6 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
         mods.clusterer = &clusterer;
         mods.reconstructor = &reconstructor;
         mods.fallback_reconstructor = &fallback;
-        mods.fault_injector = config.fault_injector;
 
         PipelineConfig pcfg;
         pcfg.coverage = coverage;
@@ -561,6 +560,9 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
         pcfg.seed = shardSeed(config.seed ^ 0x5eedULL, shard.pair_id);
         pcfg.min_cluster_size = config.min_cluster_size;
         pcfg.max_decode_retries = config.max_decode_retries;
+        pcfg.faults = config.faults;
+        pcfg.faults.seed = shardSeed(config.faults.seed, shard.pair_id);
+        pcfg.faults.index_nt = manifest_.params.codec.index_nt;
 
         Pipeline pipeline(mods, pcfg);
         PipelineResult result = pipeline.runFromReads(
@@ -650,13 +652,9 @@ Archive::getMany(const std::vector<std::string> &names,
             decodeShard(objects[item.object]->shards[item.shard], config,
                         results[item.object].shards[item.shard]);
     };
-    // A fault injector is stateful (own RNG + counters), so its runs
-    // must stay serial to remain deterministic.
-    const std::size_t threads =
-        config.fault_injector == nullptr ? config.num_threads : 1;
     try {
-        forEachIndex(poolFor(threads, work.size()).get(), work.size(),
-                     decode_one);
+        forEachIndex(poolFor(config.num_threads, work.size()).get(),
+                     work.size(), decode_one);
     } catch (const std::exception &e) {
         for (std::size_t i = 0; i < names.size(); ++i) {
             if (objects[i] == nullptr)

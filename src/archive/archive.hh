@@ -155,11 +155,12 @@ struct RetrievalConfig
     std::size_t max_decode_retries = 1; //!< PR-1 recovery budget per shard.
 
     /**
-     * Optional fault injector applied to every shard's reads (testing
-     * only).  The injector is stateful, so setting it forces shards to
-     * decode serially regardless of num_threads.
+     * Faults injected into every shard's retrieval (testing only).  Each
+     * shard runs its own injector, seeded from (faults.seed, pair_id)
+     * and given the archive's index width, so a faulted get decodes in
+     * parallel and its result does not depend on num_threads.
      */
-    FaultInjector *fault_injector = nullptr;
+    FaultPlan faults;
 };
 
 /** Per-shard retrieval outcome (PR-1 StageStatus taxonomy). */

@@ -16,6 +16,11 @@ namespace
 constexpr char kGarbageAlphabet[] = "ACGTNRYacgtn.-";
 constexpr std::size_t kGarbageAlphabetSize = sizeof(kGarbageAlphabet) - 1;
 
+/** Largest fraction of a read a truncation may remove. */
+constexpr double kMaxTruncation = 0.5;
+/** Largest fraction of a read an elongation may append. */
+constexpr double kMaxElongation = 0.25;
+
 Strand
 garbageStrand(Rng &rng, std::size_t reference_length)
 {
@@ -57,13 +62,6 @@ FaultInjector::FaultInjector(FaultPlan plan)
 }
 
 void
-FaultInjector::reset()
-{
-    counters_ = FaultCounters{};
-    rng_ = Rng(plan_.seed);
-}
-
-void
 FaultInjector::injectStrands(std::vector<Strand> &strands)
 {
     if (plan_.strand_dropout <= 0.0)
@@ -101,8 +99,7 @@ FaultInjector::injectReads(std::vector<Strand> &reads,
             rng_.chance(plan_.read_truncation)) {
             const std::size_t max_cut = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
-                       plan_.max_truncation *
-                       static_cast<double>(read.size())));
+                       kMaxTruncation * static_cast<double>(read.size())));
             read.resize(read.size() - 1 - rng_.below(max_cut));
             ++counters_.truncated_reads;
         }
@@ -110,8 +107,7 @@ FaultInjector::injectReads(std::vector<Strand> &reads,
             rng_.chance(plan_.read_elongation)) {
             const std::size_t max_add = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
-                       plan_.max_elongation *
-                       static_cast<double>(read.size())));
+                       kMaxElongation * static_cast<double>(read.size())));
             read += strand::random(rng_, 1 + rng_.below(max_add));
             ++counters_.elongated_reads;
         }

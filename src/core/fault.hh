@@ -8,8 +8,9 @@
  * or empties groups.  A FaultInjector reproduces those failure modes on
  * demand — seeded, so every fault pattern is replayable — which lets
  * tests and benchmarks prove that the pipeline degrades gracefully
- * instead of crashing.  Production pipelines simply leave the module
- * pointer null and pay nothing.
+ * instead of crashing.  A pipeline takes the plan as a value in its
+ * config and builds one injector per run; the default plan injects
+ * nothing and builds none.
  *
  * FaultInjector covers *data* faults inside a live pipeline run.  Its
  * process-level sibling lives in obs/crashpoint.hh: named crash points
@@ -59,15 +60,12 @@ struct FaultPlan
     double cluster_drop = 0.0;  //!< Cluster emptied (all reads lost).
     double cluster_merge = 0.0; //!< Cluster merged into a random other.
 
-    /** Largest fraction of a read a truncation may remove. */
-    double max_truncation = 0.5;
-    /** Largest fraction of a read an elongation may append. */
-    double max_elongation = 0.25;
-
     /** True when any strand- or read-level rate is positive. */
     bool anyReadFaults() const;
     /** True when any cluster-level rate is positive. */
     bool anyClusterFaults() const;
+    /** True when any rate is positive. */
+    bool any() const { return anyReadFaults() || anyClusterFaults(); }
 };
 
 /** Per-fault-type tallies of what an injector actually did. */
@@ -84,20 +82,20 @@ struct FaultCounters
 
     /** Total faults injected across all types. */
     std::size_t total() const;
+
+    bool operator==(const FaultCounters &) const = default;
 };
 
 /**
- * Stateful injector applied by the Pipeline at stage boundaries.  Call
- * reset() (or construct fresh) before each run for a reproducible fault
- * pattern; counters accumulate until the next reset.
+ * Stateful injector applied at stage boundaries: the Pipeline builds a
+ * fresh one per run from PipelineConfig::faults, so one plan always
+ * replays the same fault pattern.  Counters accumulate over the
+ * injector's lifetime.
  */
 class FaultInjector
 {
   public:
     explicit FaultInjector(FaultPlan plan);
-
-    /** Re-seed the RNG and zero the counters. */
-    void reset();
 
     const FaultPlan &plan() const { return plan_; }
     const FaultCounters &counters() const { return counters_; }

@@ -135,22 +135,27 @@ class StageScope
 
 /**
  * The shell both entry points share: metrics, contention and
- * allocation deltas around @p body, a catch-all that turns any escaped
- * exception into a pipeline error, and the published run tallies.
+ * allocation deltas around @p body, the run's own injector when @p plan
+ * has faults, a catch-all that turns any escaped exception into a
+ * pipeline error, and the published run tallies.
  */
 PipelineResult
-instrumentedRun(const char *span_name, const FaultInjector *faults,
-                const std::function<void(PipelineResult &)> &body)
+instrumentedRun(
+    const char *span_name, const FaultPlan &plan,
+    const std::function<void(FaultInjector *, PipelineResult &)> &body)
 {
     PipelineResult result;
     const obs::MetricsSnapshot before = obs::metrics().snapshot();
     const obs::locktime::ContentionSnapshot contention_before =
         obs::locktime::contentionSnapshot();
     const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
+    std::optional<FaultInjector> faults;
     {
         obs::Span run_span(span_name);
         try {
-            body(result);
+            if (plan.any())
+                faults.emplace(plan);
+            body(faults ? &*faults : nullptr, result);
         } catch (const std::exception &error) {
             addError(result, "pipeline", error.what());
         } catch (...) {
@@ -301,15 +306,16 @@ Pipeline::Pipeline(PipelineModules modules, PipelineConfig config)
 PipelineResult
 Pipeline::run(const std::vector<std::uint8_t> &data)
 {
-    return instrumentedRun("pipeline/run", mods.fault_injector,
-                           [&](PipelineResult &result) {
-                               runImpl(data, result);
-                           });
+    return instrumentedRun(
+        "pipeline/run", cfg.faults,
+        [&](FaultInjector *faults, PipelineResult &result) {
+            runImpl(data, faults, result);
+        });
 }
 
 void
 Pipeline::runImpl(const std::vector<std::uint8_t> &data,
-                  PipelineResult &result)
+                  FaultInjector *faults, PipelineResult &result)
 {
     if (missingModules(result,
                        {{"encoder", mods.encoder != nullptr},
@@ -343,9 +349,9 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     const std::size_t strand_length = encoded.front().size();
 
     // Synthesis faults: some strands never make it into the pool.
-    if (mods.fault_injector) {
-        mods.fault_injector->injectStrands(encoded);
-        if (mods.fault_injector->counters().dropped_strands > 0)
+    if (faults) {
+        faults->injectStrands(encoded);
+        if (faults->counters().dropped_strands > 0)
             degradeTo(result.status.encoding, StageStatus::Degraded);
     }
 
@@ -367,16 +373,16 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     result.dropped_strands = run.dropped_strands;
 
     // Sequencing faults: truncation, elongation, corrupt indices, junk.
-    if (mods.fault_injector) {
-        const std::size_t before = mods.fault_injector->counters().total();
-        mods.fault_injector->injectReads(run.reads, &run.origin);
-        if (mods.fault_injector->counters().total() > before)
+    if (faults) {
+        const std::size_t before = faults->counters().total();
+        faults->injectReads(run.reads, &run.origin);
+        if (faults->counters().total() > before)
             degradeTo(result.status.simulation, StageStatus::Degraded);
     }
     result.reads = run.reads.size();
 
     retrieve(run.reads, &run.origin, &encoded, strand_length,
-             mods.encoder->unitsForSize(data.size()), result);
+             mods.encoder->unitsForSize(data.size()), faults, result);
 }
 
 PipelineResult
@@ -384,8 +390,8 @@ Pipeline::runFromReads(const std::vector<Strand> &reads,
                        std::size_t strand_length, std::size_t expected_units)
 {
     return instrumentedRun(
-        "pipeline/run_from_reads", mods.fault_injector,
-        [&](PipelineResult &result) {
+        "pipeline/run_from_reads", cfg.faults,
+        [&](FaultInjector *faults, PipelineResult &result) {
             if (missingModules(
                     result,
                     {{"decoder", mods.decoder != nullptr},
@@ -394,18 +400,16 @@ Pipeline::runFromReads(const std::vector<Strand> &reads,
                 result.status.clustering = StageStatus::Failed;
                 return;
             }
-            if (mods.fault_injector &&
-                mods.fault_injector->plan().anyReadFaults()) {
-                std::vector<Strand> faulted = reads;
-                mods.fault_injector->injectReads(faulted);
-                result.reads = faulted.size();
-                retrieve(faulted, nullptr, nullptr, strand_length,
-                         expected_units, result);
-            } else {
-                result.reads = reads.size();
-                retrieve(reads, nullptr, nullptr, strand_length,
-                         expected_units, result);
+            const std::vector<Strand> *use = &reads;
+            std::vector<Strand> faulted;
+            if (faults && faults->plan().anyReadFaults()) {
+                faulted = reads;
+                faults->injectReads(faulted);
+                use = &faulted;
             }
+            result.reads = use->size();
+            retrieve(*use, nullptr, nullptr, strand_length, expected_units,
+                     faults, result);
         });
 }
 
@@ -414,7 +418,7 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
                    const std::vector<std::uint32_t> *origins,
                    const std::vector<Strand> *ground_truth,
                    std::size_t strand_length, std::size_t expected_units,
-                   PipelineResult &result)
+                   FaultInjector *faults, PipelineResult &result)
 {
     // Pre-clustering sanitation: wetlab data (and the garbage-read
     // fault) contains empty or non-ACGT reads that the similarity
@@ -503,11 +507,10 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     }
 
     // Clustering faults: emptied and merged groups.
-    if (mods.fault_injector &&
-        mods.fault_injector->plan().anyClusterFaults()) {
-        const std::size_t before = mods.fault_injector->counters().total();
-        mods.fault_injector->injectClusters(groups, &group_origins);
-        if (mods.fault_injector->counters().total() > before)
+    if (faults && faults->plan().anyClusterFaults()) {
+        const std::size_t before = faults->counters().total();
+        faults->injectClusters(groups, &group_origins);
+        if (faults->counters().total() > before)
             degradeTo(result.status.clustering, StageStatus::Degraded);
     }
 

@@ -8,10 +8,11 @@
  *
  * run()/runFromReads() never throw: module failures are caught at stage
  * boundaries, recorded as StageStatus/PipelineError entries, and the
- * pipeline continues with whatever data survived.  An optional
- * FaultInjector degrades the data between stages for robustness
- * testing, and an optional recovery policy retries a failed decode with
- * degraded settings (relaxed cluster filter, fallback reconstructor).
+ * pipeline continues with whatever data survived.  An optional fault
+ * plan (PipelineConfig::faults) degrades the data between stages for
+ * robustness testing, and an optional recovery policy retries a failed
+ * decode with degraded settings (relaxed cluster filter, fallback
+ * reconstructor).
  */
 
 #pragma once
@@ -117,7 +118,7 @@ struct PipelineResult
     /** Reads rejected before clustering (empty or non-ACGT). */
     std::size_t malformed_reads = 0;
 
-    /** What the fault injector did (all zero without an injector). */
+    /** What this run's fault injector did (all zero without faults). */
     FaultCounters faults;
     /** Decode retries made by the recovery policy, in order. */
     std::vector<RecoveryAttempt> recovery_attempts;
@@ -161,12 +162,6 @@ struct PipelineModules
     const Reconstructor *reconstructor = nullptr;
 
     /**
-     * Optional fault injector, applied between stages.  Null (the
-     * default) means production behaviour with zero overhead.
-     */
-    FaultInjector *fault_injector = nullptr;
-
-    /**
      * Optional secondary reconstructor for the recovery policy: when a
      * decode fails and retries are budgeted, the pipeline re-runs
      * reconstruction with this module.
@@ -187,6 +182,8 @@ struct PipelineConfig
      * the first decode fails (0 disables the recovery policy).
      */
     std::size_t max_decode_retries = 0;
+    /** Faults to inject; each run builds its own injector from it. */
+    FaultPlan faults;
 };
 
 /**
@@ -217,19 +214,20 @@ class Pipeline
                                 std::size_t expected_units = 0);
 
   private:
-    void runImpl(const std::vector<std::uint8_t> &data,
+    /** @p faults is this run's injector, null when the plan is empty. */
+    void runImpl(const std::vector<std::uint8_t> &data, FaultInjector *faults,
                  PipelineResult &result);
 
     /**
      * Shared retrieval half (clustering -> reconstruction -> decoding
      * -> recovery).  @p origins / @p ground_truth are null outside
-     * simulation.
+     * simulation; @p faults as in runImpl().
      */
     void retrieve(const std::vector<Strand> &reads,
                   const std::vector<std::uint32_t> *origins,
                   const std::vector<Strand> *ground_truth,
                   std::size_t strand_length, std::size_t expected_units,
-                  PipelineResult &result);
+                  FaultInjector *faults, PipelineResult &result);
 
     PipelineModules mods;
     PipelineConfig cfg;

@@ -33,10 +33,10 @@ namespace dnastore::obs
  *       run reports gain "contention" and "alloc" sections, the thread
  *       pool publishes queue-wait/busy/idle/utilization metrics.
  *
- * Consumers (tools/check_obs_json.py, `dnastore report diff`) accept
- * both versions; on-disk archive manifests version independently
- * (archive::kManifestSchemaVersion) so bumping this never invalidates
- * stored archives.
+ * `dnastore report diff` and tools/check_obs_json.py (for run reports)
+ * accept only the current version; on-disk archive manifests version
+ * independently (archive::kManifestSchemaVersion) so bumping this never
+ * invalidates stored archives.
  */
 inline constexpr int kSchemaVersion = 2;
 

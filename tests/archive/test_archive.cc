@@ -660,20 +660,50 @@ TEST_F(ArchiveTest, ParallelAndSerialGetsAgree)
     serial.error_rate = 0.02;
     serial.seed = 77;
     serial.num_threads = 1;
-    const GetResult a = created.archive->get("obj", serial);
-    ASSERT_TRUE(a.ok()) << a.error;
-    EXPECT_EQ(a.data, payload);
 
-    // Per-shard seeds depend only on (seed, pair_id), so thread count
-    // cannot change the result, shard by shard.
-    for (const std::size_t threads : {2u, 4u}) {
-        RetrievalConfig parallel = serial;
-        parallel.num_threads = threads;
-        const std::string label = std::to_string(threads) + " threads";
-        const GetResult b = created.archive->get("obj", parallel);
-        ASSERT_TRUE(b.ok()) << label << ": " << b.error;
-        EXPECT_EQ(a.data, b.data) << label;
-        expectSameShards(a, b, label);
+    // A light read- and cluster-fault plan that still decodes.  Every
+    // shard runs its own injector, so faults fan out like a clean get.
+    RetrievalConfig faulted = serial;
+    faulted.faults.read_truncation = 0.02;
+    faulted.faults.index_corruption = 0.01;
+    faulted.faults.cluster_drop = 0.02;
+
+    obs::MetricsRegistry &reg = obs::metrics();
+    obs::Counter &tasks = reg.counter("util.thread_pool.tasks_total");
+    obs::Counter &truncated = reg.counter("fault.truncated_reads_total");
+    obs::Counter &emptied = reg.counter("fault.emptied_clusters_total");
+    for (const auto &[input, config] :
+         {std::pair<std::string, RetrievalConfig>{"clean", serial},
+          {"faulted", faulted}}) {
+        const std::uint64_t truncated_before = truncated.value();
+        const std::uint64_t emptied_before = emptied.value();
+        const GetResult a = created.archive->get("obj", config);
+        ASSERT_TRUE(a.ok()) << input << ": " << a.error;
+        EXPECT_EQ(a.data, payload) << input;
+        if (input == "faulted") {
+            EXPECT_GT(truncated.value(), truncated_before);
+            EXPECT_GT(emptied.value(), emptied_before);
+        }
+
+        // Per-shard seeds (fault seeds included) depend only on (seed,
+        // pair_id), so thread count cannot change the result, shard by
+        // shard.
+        for (const std::size_t threads : {2u, 4u}) {
+            RetrievalConfig parallel = config;
+            parallel.num_threads = threads;
+            const std::string label =
+                input + " at " + std::to_string(threads) + " threads";
+            const std::uint64_t tasks_before = tasks.value();
+            const GetResult b = created.archive->get("obj", parallel);
+            ASSERT_TRUE(b.ok()) << label << ": " << b.error;
+            EXPECT_EQ(a.status, b.status) << label;
+            EXPECT_EQ(a.data, b.data) << label;
+            expectSameShards(a, b, label);
+            // Five shards on four threads run as pool tasks.
+            if (threads == 4) {
+                EXPECT_GT(tasks.value(), tasks_before) << label;
+            }
+        }
     }
 
     // get(n) is getMany({n})[0], for a stored and for a missing name.

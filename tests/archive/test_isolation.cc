@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fault.hh"
 #include "util/random.hh"
 
 using namespace dnastore;
@@ -62,17 +61,12 @@ TEST(ArchiveIsolation, FaultsOnOneObjectLeaveTheOtherIntact)
 
     // Retrieval of "victim" under catastrophic injected faults: nearly
     // every read is garbage and most clusters are dropped.
-    FaultPlan plan;
-    plan.index_nt = params.codec.index_nt;
-    plan.garbage_read = 0.9;
-    plan.read_truncation = 0.8;
-    plan.cluster_drop = 0.8;
-    FaultInjector injector(plan);
-
     RetrievalConfig faulty;
     faulty.error_rate = 0.02;
     faulty.seed = 5;
-    faulty.fault_injector = &injector;
+    faulty.faults.garbage_read = 0.9;
+    faulty.faults.read_truncation = 0.8;
+    faulty.faults.cluster_drop = 0.8;
 
     const GetResult broken = tube.get("victim", faulty);
     EXPECT_FALSE(broken.ok());
@@ -104,7 +98,7 @@ TEST(ArchiveIsolation, FaultsOnOneObjectLeaveTheOtherIntact)
     EXPECT_EQ(other.data, bystander);
 
     // And the victim itself was never damaged at rest: retrieval
-    // without the injector round-trips byte-exactly.
+    // without faults round-trips byte-exactly.
     const GetResult healed = tube.get("victim", clean);
     ASSERT_TRUE(healed.ok()) << healed.error;
     EXPECT_EQ(healed.data, victim);

@@ -130,8 +130,11 @@ TEST(TsanStress, ArchiveGetAndSaveShareOneThreadPool)
     // Concurrent const gets on archive A (racing on the lazy primer
     // library design now serialised by the annotated Mutex) while
     // archive B puts — and therefore saves — on the same shared pool.
-    // Mutating operations stay externally serialised per archive: all
-    // of B's puts run inside one task, in order.
+    // Two of A's readers share one faulted RetrievalConfig: every shard
+    // run builds its own injector from the plan, so sharing the config
+    // shares no mutable state.  Mutating operations stay externally
+    // serialised per archive: all of B's puts run inside one task, in
+    // order.
     namespace fs = std::filesystem;
     const fs::path base = fs::path(::testing::TempDir()) / "tsan_archive";
     fs::remove_all(base);
@@ -157,12 +160,22 @@ TEST(TsanStress, ArchiveGetAndSaveShareOneThreadPool)
     ASSERT_TRUE(created_b.ok()) << created_b.error;
     archive::Archive &b = *created_b.archive;
 
+    archive::RetrievalConfig faulted;
+    faulted.num_threads = 2;
+    faulted.faults.read_truncation = 0.02;
+    faulted.faults.cluster_drop = 0.02;
+
     {
         ThreadPool pool(4);
         std::vector<std::future<bool>> outcomes;
-        for (int reader = 0; reader < 4; ++reader) {
+        for (int reader = 0; reader < 2; ++reader) {
             outcomes.push_back(pool.submit(
                 [&a, &payload] { return a.get("obj").data == payload; }));
+        }
+        std::vector<std::future<std::vector<std::uint8_t>>> faulted_gets;
+        for (int reader = 0; reader < 2; ++reader) {
+            faulted_gets.push_back(pool.submit(
+                [&a, &faulted] { return a.get("obj", faulted).data; }));
         }
         outcomes.push_back(pool.submit([&b, &payload] {
             for (int i = 0; i < 3; ++i) {
@@ -173,6 +186,9 @@ TEST(TsanStress, ArchiveGetAndSaveShareOneThreadPool)
         }));
         for (auto &outcome : outcomes)
             EXPECT_TRUE(outcome.get());
+        const std::vector<std::uint8_t> first = faulted_gets[0].get();
+        EXPECT_EQ(first, faulted_gets[1].get());
+        EXPECT_EQ(first, payload);
     }
     EXPECT_EQ(b.objects().size(), 3u);
     fs::remove_all(base);

@@ -40,9 +40,12 @@ randomData(Rng &rng, std::size_t size)
     return data;
 }
 
-/** Run the full pipeline with the given fault plan; never throws. */
-PipelineResult
-runWithFaults(FaultPlan plan, std::uint64_t data_seed = 42)
+/**
+ * Run the full pipeline @p runs times, on one Pipeline, with the given
+ * fault plan; never throws.
+ */
+std::vector<PipelineResult>
+repeatedRuns(FaultPlan plan, std::size_t runs)
 {
     const auto codec_cfg = codecConfig();
     plan.index_nt = codec_cfg.index_nt;
@@ -52,7 +55,6 @@ runWithFaults(FaultPlan plan, std::uint64_t data_seed = 42)
     IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.02));
     RashtchianClusterer clusterer({});
     NwConsensusReconstructor recon;
-    FaultInjector injector(plan);
 
     PipelineModules mods;
     mods.encoder = &encoder;
@@ -60,23 +62,32 @@ runWithFaults(FaultPlan plan, std::uint64_t data_seed = 42)
     mods.channel = &channel;
     mods.clusterer = &clusterer;
     mods.reconstructor = &recon;
-    mods.fault_injector = &injector;
 
     PipelineConfig cfg;
     cfg.coverage = CoverageModel(12.0);
     // Junk products of truncation/duplication drift into singleton
     // clusters; the standard min-size filter screens them out.
     cfg.min_cluster_size = 2;
+    cfg.faults = plan;
     Pipeline pipeline(mods, cfg);
 
-    Rng rng(data_seed);
+    Rng rng(42);
     const auto data = randomData(rng, 2000);
-    PipelineResult result;
-    EXPECT_NO_THROW(result = pipeline.run(data));
-    if (result.report.ok) {
-        EXPECT_EQ(result.report.data, data);
+    std::vector<PipelineResult> results(runs);
+    for (PipelineResult &result : results) {
+        EXPECT_NO_THROW(result = pipeline.run(data));
+        if (result.report.ok) {
+            EXPECT_EQ(result.report.data, data);
+        }
     }
-    return result;
+    return results;
+}
+
+/** One run of the full pipeline with the given fault plan. */
+PipelineResult
+runWithFaults(const FaultPlan &plan)
+{
+    return repeatedRuns(plan, 1).front();
 }
 
 TEST(FaultMatrix, StrandDropoutAlone)
@@ -184,6 +195,19 @@ TEST(FaultMatrix, SameSeedGivesIdenticalOutcome)
     EXPECT_EQ(a.reads, b.reads);
 }
 
+TEST(FaultMatrix, RepeatedRunsReportPerRunCounters)
+{
+    // Every run builds its own injector from the plan, so a reused
+    // Pipeline reports each run's faults, not a running total.
+    FaultPlan plan;
+    plan.strand_dropout = 0.10;
+    const PipelineResult fresh = runWithFaults(plan);
+    ASSERT_GT(fresh.faults.dropped_strands, 0u);
+    const auto runs = repeatedRuns(plan, 2);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_TRUE(runs[i].faults == fresh.faults) << "run " << i;
+}
+
 TEST(FaultMatrix, EverythingAtOnceNeverThrows)
 {
     // All knobs on at punishing rates: correctness is not required, but
@@ -206,7 +230,6 @@ TEST(FaultMatrix, EverythingAtOnceNeverThrows)
     RashtchianClusterer clusterer({});
     NwConsensusReconstructor recon;
     NwConsensusReconstructor fallback;
-    FaultInjector injector(plan);
 
     PipelineModules mods;
     mods.encoder = &encoder;
@@ -214,12 +237,12 @@ TEST(FaultMatrix, EverythingAtOnceNeverThrows)
     mods.channel = &channel;
     mods.clusterer = &clusterer;
     mods.reconstructor = &recon;
-    mods.fault_injector = &injector;
     mods.fallback_reconstructor = &fallback;
 
     PipelineConfig cfg;
     cfg.coverage = CoverageModel(8.0);
     cfg.max_decode_retries = 2;
+    cfg.faults = plan;
     Pipeline pipeline(mods, cfg);
 
     Rng rng(7);

@@ -8,17 +8,16 @@ Usage:
                             [--min-counters N] [--min-depth D]
 
 Checks, without any third-party dependency:
-  * the metrics file parses, carries schema `dnastore.run_report` at a
-    known schema_version, and contains every required section
-    (run, stages with per-stage latency, pipeline, faults,
-    recovery_attempts, errors, metrics);
-  * schema_version >= 2 reports additionally carry the attribution
-    layer: per-stage cpu_seconds + utilization, stages.total_cpu_seconds,
-    a contention section (per-mutex wait histograms with consistent
-    buckets) and an alloc section (per-stage sampled/estimated byte and
-    allocation counts); when the thread pool ran tasks, the queue-wait
-    histogram must be present.  Version 1 documents skip these checks,
-    so old reports keep validating;
+  * the metrics file parses, carries schema `dnastore.run_report` at
+    schema_version 2 (earlier versions are rejected), and contains every
+    required section (run, stages with per-stage latency, pipeline,
+    faults, recovery_attempts, errors, metrics);
+  * it carries the attribution layer: per-stage cpu_seconds +
+    utilization, stages.total_cpu_seconds, a contention section
+    (per-mutex wait histograms with consistent buckets) and an alloc
+    section (per-stage sampled/estimated byte and allocation counts);
+    when the thread pool ran tasks, the queue-wait histogram must be
+    present;
   * the metrics section holds at least --min-counters distinct module
     counters/histograms and every fault counter;
   * the trace file is a well-formed Chrome trace_event document whose
@@ -40,6 +39,8 @@ import argparse
 import json
 import sys
 import zlib
+
+RUN_REPORT_SCHEMA_VERSION = 2
 
 REQUIRED_SECTIONS = (
     "run",
@@ -78,23 +79,22 @@ def fail(message):
 
 
 def check_metrics_v2(path, doc):
-    """Attribution checks for schema_version >= 2 run reports."""
+    """Attribution checks every run report must pass."""
     stages = doc["stages"]
     for stage in REQUIRED_STAGES:
         entry = stages[stage]
         for field in ("cpu_seconds", "utilization"):
             value = entry.get(field)
             if not isinstance(value, (int, float)):
-                fail(f"{path}: stage {stage!r} lacks numeric {field} "
-                     "(required at schema_version >= 2)")
+                fail(f"{path}: stage {stage!r} lacks numeric {field}")
             if value < 0:
                 fail(f"{path}: stage {stage!r} {field} is negative")
     if not isinstance(stages.get("total_cpu_seconds"), (int, float)):
-        fail(f"{path}: stages.total_cpu_seconds missing (v2)")
+        fail(f"{path}: stages.total_cpu_seconds missing")
 
     contention = doc.get("contention")
     if not isinstance(contention, dict):
-        fail(f"{path}: contention section missing (v2)")
+        fail(f"{path}: contention section missing")
     if not isinstance(contention.get("enabled"), bool):
         fail(f"{path}: contention.enabled missing or not a boolean")
     sample = contention.get("sample_every")
@@ -118,7 +118,7 @@ def check_metrics_v2(path, doc):
 
     alloc = doc.get("alloc")
     if not isinstance(alloc, dict):
-        fail(f"{path}: alloc section missing (v2)")
+        fail(f"{path}: alloc section missing")
     if not isinstance(alloc.get("enabled"), bool):
         fail(f"{path}: alloc.enabled missing or not a boolean")
     sample = alloc.get("sample_every")
@@ -153,8 +153,9 @@ def check_metrics(path, min_counters):
     if doc.get("schema") != "dnastore.run_report":
         fail(f"{path}: schema is {doc.get('schema')!r}, "
              "expected 'dnastore.run_report'")
-    if not isinstance(doc.get("schema_version"), int):
-        fail(f"{path}: schema_version missing or not an integer")
+    if doc.get("schema_version") != RUN_REPORT_SCHEMA_VERSION:
+        fail(f"{path}: schema_version is {doc.get('schema_version')!r}, "
+             f"expected {RUN_REPORT_SCHEMA_VERSION}")
     for section in REQUIRED_SECTIONS:
         if section not in doc:
             fail(f"{path}: missing section {section!r}")
@@ -193,8 +194,7 @@ def check_metrics(path, min_counters):
             fail(f"{path}: histogram bucket/bound count mismatch")
         if sum(hist["counts"]) != hist["count"]:
             fail(f"{path}: histogram counts do not sum to count")
-    if doc["schema_version"] >= 2:
-        check_metrics_v2(path, doc)
+    check_metrics_v2(path, doc)
     print(f"check_obs_json: {path}: {len(names)} counters/histograms "
           f"across modules {sorted(modules)}, "
           f"schema_version {doc['schema_version']}")

@@ -31,7 +31,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "archive/archive.hh"
@@ -131,8 +130,8 @@ makeReconstructor(const ArgParser &args)
     throw std::invalid_argument("unknown --algo: " + algo);
 }
 
-/** Build a FaultPlan from --fault-* options; nullopt when all zero. */
-std::optional<FaultPlan>
+/** Build a FaultPlan from --fault-* options (all zero: no faults). */
+FaultPlan
 faultPlan(const ArgParser &args, std::size_t index_nt)
 {
     FaultPlan plan;
@@ -147,8 +146,6 @@ faultPlan(const ArgParser &args, std::size_t index_nt)
     plan.garbage_read = args.getDouble("fault-garbage", 0.0);
     plan.cluster_drop = args.getDouble("fault-cluster-drop", 0.0);
     plan.cluster_merge = args.getDouble("fault-cluster-merge", 0.0);
-    if (!plan.anyReadFaults() && !plan.anyClusterFaults())
-        return std::nullopt;
     return plan;
 }
 
@@ -286,11 +283,7 @@ cmdPipeline(const ArgParser &args)
     if (cfg.max_decode_retries > 0 && args.get("algo", "nw") != "nw")
         mods.fallback_reconstructor = &fallback;
 
-    std::unique_ptr<FaultInjector> injector;
-    if (const auto plan = faultPlan(args, codec_cfg.index_nt)) {
-        injector = std::make_unique<FaultInjector>(*plan);
-        mods.fault_injector = injector.get();
-    }
+    cfg.faults = faultPlan(args, codec_cfg.index_nt);
 
     Pipeline pipeline(mods, cfg);
 
@@ -352,7 +345,7 @@ cmdPipeline(const ArgParser &args)
               << stageStatusName(result.status.reconstruction)
               << ", decoding " << stageStatusName(result.status.decoding)
               << "\n";
-    if (injector) {
+    if (cfg.faults.any()) {
         const auto &f = result.faults;
         std::cout << "faults injected: " << f.dropped_strands
                   << " strands dropped, " << f.truncated_reads

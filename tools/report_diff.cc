@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "archive/json_reader.hh"
+#include "obs/report.hh"
 
 namespace dnastore::tools
 {
@@ -48,15 +49,33 @@ struct DiffRow
     RowStatus status = RowStatus::Ok;
 };
 
-std::optional<std::string>
-readWholeFile(const std::string &path)
+/**
+ * Read and parse the document at @p path and check that it carries the
+ * current schema_version; nullopt (after saying why) otherwise.
+ */
+std::optional<JsonValue>
+loadDocument(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (!in) {
+        std::cerr << "report diff: cannot read " << path << "\n";
         return std::nullopt;
+    }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return buffer.str();
+    auto doc = archive::tryParseJson(buffer.str());
+    if (!doc.has_value()) {
+        std::cerr << "report diff: " << path << " is not valid JSON\n";
+        return std::nullopt;
+    }
+    const JsonValue *version = doc->find("schema_version");
+    if (version == nullptr ||
+        version->asUint() != std::uint64_t{obs::kSchemaVersion}) {
+        std::cerr << "report diff: " << path << " is not schema_version "
+                  << obs::kSchemaVersion << "\n";
+        return std::nullopt;
+    }
+    return doc;
 }
 
 double
@@ -321,28 +340,12 @@ reportDiff(const std::string &baseline_path,
            const std::string &current_path,
            const ReportDiffOptions &options)
 {
-    const auto baseline_text = readWholeFile(baseline_path);
-    if (!baseline_text.has_value()) {
-        std::cerr << "report diff: cannot read " << baseline_path << "\n";
+    const auto baseline_doc = loadDocument(baseline_path);
+    if (!baseline_doc.has_value())
         return 2;
-    }
-    const auto current_text = readWholeFile(current_path);
-    if (!current_text.has_value()) {
-        std::cerr << "report diff: cannot read " << current_path << "\n";
+    const auto current_doc = loadDocument(current_path);
+    if (!current_doc.has_value())
         return 2;
-    }
-    const auto baseline_doc = archive::tryParseJson(*baseline_text);
-    if (!baseline_doc.has_value()) {
-        std::cerr << "report diff: " << baseline_path
-                  << " is not valid JSON\n";
-        return 2;
-    }
-    const auto current_doc = archive::tryParseJson(*current_text);
-    if (!current_doc.has_value()) {
-        std::cerr << "report diff: " << current_path
-                  << " is not valid JSON\n";
-        return 2;
-    }
 
     const JsonValue *baseline_schema = baseline_doc->find("schema");
     const JsonValue *current_schema = current_doc->find("schema");

@@ -5,18 +5,18 @@
  * (dnastore.run_report, dnastore.bench_table3 or
  * dnastore.bench_archive_throughput), extracts the comparable
  * performance series (per-stage seconds, per-mode get seconds, the
- * archive speedup), and flags regressions beyond a tolerance.
+ * archive speedup), and flags regressions beyond a tolerance.  Both
+ * documents must carry the current obs::kSchemaVersion.
  *
  * A latency row regresses when current - baseline exceeds BOTH the
  * relative slack (baseline * tolerance_pct / 100) and the absolute
  * floor; the floor keeps micro-benchmark noise (a stage going from 2ms
  * to 4ms) from tripping a 100% "regression".  Higher-is-better rows
  * (speedup) apply the same rule with the sign flipped.  Rows present in
- * only one document are reported but never gate, so v1 baselines stay
- * diffable against v2 output.
+ * only one document are reported but never gate.
  *
  * Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/parse
- * error.  --markdown additionally writes an attribution report (the
+ * error or another schema_version.  --markdown additionally writes an attribution report (the
  * row table plus the current document's attribution section — worker
  * busy fraction, queue-wait percentiles — when present).
  */
