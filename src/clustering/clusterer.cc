@@ -1,15 +1,15 @@
 #include "clustering/clusterer.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <span>
+#include <utility>
 
 #include "clustering/union_find.hh"
 #include "dna/distance.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "util/hot.hh"
-#include "util/sync.hh"
 #include "util/thread_pool.hh"
 #include "util/timer.hh"
 
@@ -19,34 +19,53 @@ namespace dnastore
 namespace
 {
 
-/** Process-wide clustering counters, published once per cluster() call. */
-struct ClusteringMetrics
+/** Count one cluster() call in the process-wide metrics. */
+void
+publishMetrics(const Clustering &result, std::size_t num_reads,
+               const RashtchianClusterer::Stats &stats,
+               std::size_t filter_rejections)
 {
-    obs::Counter &runs = obs::metrics().counter("clustering.runs_total");
-    obs::Counter &reads = obs::metrics().counter("clustering.reads_total");
-    obs::Counter &clusters =
-        obs::metrics().counter("clustering.clusters_total");
-    obs::Counter &rounds = obs::metrics().counter("clustering.rounds_total");
-    obs::Counter &signature_comparisons =
-        obs::metrics().counter("clustering.signature_comparisons_total");
-    obs::Counter &edit_calls =
-        obs::metrics().counter("clustering.edit_distance_calls_total");
-    obs::Counter &merges = obs::metrics().counter("clustering.merges_total");
-    obs::Counter &filter_rejections =
-        obs::metrics().counter("clustering.filter_rejections_total");
-    obs::FixedHistogram &cluster_size = obs::metrics().histogram(
+    obs::MetricsRegistry &reg = obs::metrics();
+    reg.counter("clustering.runs_total").add(1);
+    reg.counter("clustering.reads_total").add(num_reads);
+    reg.counter("clustering.clusters_total").add(result.clusters.size());
+    reg.counter("clustering.rounds_total").add(stats.rounds_run);
+    reg.counter("clustering.signature_comparisons_total")
+        .add(stats.signature_comparisons);
+    reg.counter("clustering.edit_distance_calls_total")
+        .add(stats.edit_distance_calls);
+    reg.counter("clustering.merges_total").add(stats.merges);
+    reg.counter("clustering.filter_rejections_total").add(filter_rejections);
+    obs::FixedHistogram &cluster_size = reg.histogram(
         "clustering.cluster_size_reads",
         {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0});
-};
-
-ClusteringMetrics &
-clusteringMetrics()
-{
-    static ClusteringMetrics metrics;
-    return metrics;
+    for (const auto &cluster : result.clusters)
+        cluster_size.observe(static_cast<double>(cluster.size()));
 }
 
+/** One round's representative: its bucket key and read index. */
+using KeyedRep = std::pair<std::string_view, std::uint32_t>;
+
+/** What merging one bucket did: its merges, in order, and counters. */
+struct BucketResult
+{
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> merges;
+    std::size_t comparisons = 0;
+    std::size_t edit_calls = 0;
+    std::size_t filter_rejections = 0;
+};
+
 } // namespace
+
+std::optional<std::string_view>
+anchorKey(std::string_view read, std::string_view anchor, std::size_t key_len)
+{
+    const std::size_t pos = read.find(anchor);
+    if (pos == std::string_view::npos ||
+        pos + anchor.size() + key_len > read.size())
+        return std::nullopt;
+    return std::string_view(read.data() + pos + anchor.size(), key_len);
+}
 
 RashtchianClustererConfig
 RashtchianClustererConfig::forErrorRate(double error_rate,
@@ -80,14 +99,15 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
 {
     last_stats = Stats{};
     Clustering result;
-    if (reads.empty())
-        return result;
-    if (reads.size() == 1) {
-        result.clusters = {{0}};
+    if (reads.size() < 2) {
+        // Nothing to merge; draw nothing from rng.
+        result.clusters = UnionFind(reads.size()).groups();
+        publishMetrics(result, reads.size(), last_stats, 0);
         return result;
     }
 
-    const SignatureScheme scheme(cfg.signature, rng, cfg.q, cfg.num_grams);
+    const SignatureScheme scheme(cfg.signature, rng, kSignatureQ,
+                                 kSignatureGrams);
 
     // Signature pre-calculation (reported separately in Table II).
     WallTimer sig_timer;
@@ -115,110 +135,97 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     last_stats.theta_low = theta_low;
     last_stats.theta_high = theta_high;
 
+    // Merge the members of one bucket in pair order on a union-find of
+    // their positions.  A round sends one representative per cluster
+    // into at most one bucket, so only this bucket's own merges can
+    // connect two of its members: the local answer is the global one.
+    auto merge_bucket = [&](std::span<const KeyedRep> members,
+                            BucketResult &bucket) {
+        bucket.merges.reserve(members.size() - 1);
+        UnionFind local(members.size());
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            for (std::size_t j = i + 1; j < members.size(); ++j) {
+                if (local.connected(i, j))
+                    continue;
+                const std::uint32_t a = members[i].second;
+                const std::uint32_t c = members[j].second;
+                ++bucket.comparisons;
+                const std::int64_t d =
+                    scheme.distance(signatures[a], signatures[c]);
+                if (d > theta_low) {
+                    if (d >= theta_high) {
+                        // Signature filter rejected the pair outright.
+                        ++bucket.filter_rejections;
+                        continue;
+                    }
+                    ++bucket.edit_calls;
+                    if (!withinEditDistance(reads[a], reads[c],
+                                            cfg.edit_threshold))
+                        continue;
+                }
+                local.merge(i, j);
+                bucket.merges.emplace_back(a, c);
+            }
+        }
+    };
+
     WallTimer merge_timer;
     UnionFind dsu(reads.size());
-    // Guards the shared UnionFind across bucket workers.  A local can
-    // carry no DNASTORE_GUARDED_BY peer, so R6 allowlists this one.
-    Mutex dsu_mutex{"clustering.dsu"};
-    std::atomic<std::size_t> sig_comparisons{0};
-    std::atomic<std::size_t> edit_calls{0};
-    std::atomic<std::size_t> merges{0};
-    std::atomic<std::size_t> filter_rejections{0};
+    std::size_t filter_rejections = 0;
+    std::vector<KeyedRep> keyed;
+    keyed.reserve(reads.size());
+    std::vector<std::span<const KeyedRep>> buckets;
+    buckets.reserve(reads.size() / 2);
 
     for (std::size_t round = 0; round < cfg.rounds; ++round) {
         obs::Span round_span("clustering/round");
         ++last_stats.rounds_run;
 
-        // One random representative per current cluster.
-        auto groups = dsu.groups();
-        const Strand anchor = strand::random(rng, cfg.anchor_len);
-
-        // Partition representatives by the key_len bases following the
-        // anchor's first occurrence.
-        std::unordered_map<std::string, std::vector<std::uint32_t>>
-            partitions;
-        partitions.reserve(groups.size() / 2 + 1);
+        // One random representative per current cluster, keyed by the
+        // key_len bases following the anchor's first occurrence; a
+        // cluster whose representative has no key sits the round out.
+        const auto groups = dsu.groups();
+        const Strand anchor = strand::random(rng, kAnchorLen);
+        keyed.clear();
         for (const auto &group : groups) {
-            const std::uint32_t rep =
-                group[rng.below(group.size())];
-            const Strand &read = reads[rep];
-            const auto pos = read.find(anchor);
-            if (pos == Strand::npos)
-                continue; // cluster sits this round out
-            const std::size_t key_start = pos + cfg.anchor_len;
-            if (key_start + cfg.key_len > read.size())
-                continue;
-            partitions[read.substr(key_start, cfg.key_len)].push_back(rep);
+            const std::uint32_t rep = group[rng.below(group.size())];
+            if (const auto key = anchorKey(reads[rep], anchor, cfg.key_len))
+                keyed.emplace_back(*key, rep);
         }
 
-        std::vector<std::vector<std::uint32_t>> buckets;
-        buckets.reserve(partitions.size());
-        for (auto &[key, members] : partitions) {
-            if (members.size() > 1)
-                buckets.push_back(std::move(members));
+        // Equal keys form a run; a run of two or more is a bucket, its
+        // members in group order.
+        std::stable_sort(keyed.begin(), keyed.end(),
+                         [](const KeyedRep &x, const KeyedRep &y) {
+                             return x.first < y.first;
+                         });
+        buckets.clear();
+        for (std::size_t begin = 0, end = 0; begin < keyed.size();
+             begin = end) {
+            while (end < keyed.size() &&
+                   keyed[end].first == keyed[begin].first)
+                ++end;
+            if (end - begin > 1)
+                buckets.emplace_back(keyed.data() + begin, end - begin);
         }
 
-        auto process_bucket = [&](std::size_t b) {
-            const auto &members = buckets[b];
-            for (std::size_t i = 0; i < members.size(); ++i) {
-                for (std::size_t j = i + 1; j < members.size(); ++j) {
-                    const std::uint32_t a = members[i];
-                    const std::uint32_t c = members[j];
-                    {
-                        MutexLock lock(dsu_mutex);
-                        if (dsu.connected(a, c))
-                            continue;
-                    }
-                    sig_comparisons.fetch_add(1, std::memory_order_relaxed);
-                    const std::int64_t d =
-                        scheme.distance(signatures[a], signatures[c]);
-                    bool do_merge = false;
-                    if (d <= theta_low) {
-                        do_merge = true;
-                    } else if (d < theta_high) {
-                        edit_calls.fetch_add(1, std::memory_order_relaxed);
-                        do_merge = withinEditDistance(reads[a], reads[c],
-                                                      cfg.edit_threshold);
-                    } else {
-                        // Signature filter rejected the pair outright.
-                        filter_rejections.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                    if (do_merge) {
-                        MutexLock lock(dsu_mutex);
-                        dsu.merge(a, c);
-                        merges.fetch_add(1, std::memory_order_relaxed);
-                    }
-                }
-            }
-        };
-
-        forEachIndex(pool.get(), buckets.size(), process_bucket);
+        std::vector<BucketResult> results(buckets.size());
+        forEachIndex(pool.get(), buckets.size(), [&](std::size_t b) {
+            merge_bucket(buckets[b], results[b]);
+        });
+        for (const BucketResult &bucket : results) {
+            for (const auto &[a, c] : bucket.merges)
+                dsu.merge(a, c);
+            last_stats.merges += bucket.merges.size();
+            last_stats.signature_comparisons += bucket.comparisons;
+            last_stats.edit_distance_calls += bucket.edit_calls;
+            filter_rejections += bucket.filter_rejections;
+        }
     }
 
     last_stats.clustering_seconds = merge_timer.seconds();
-    // Relaxed is enough: these are monotone tallies and forEachIndex has
-    // already joined every worker, so the loads race with nothing.
-    last_stats.signature_comparisons =
-        sig_comparisons.load(std::memory_order_relaxed);
-    last_stats.edit_distance_calls =
-        edit_calls.load(std::memory_order_relaxed);
-    last_stats.merges = merges.load(std::memory_order_relaxed);
-
     result.clusters = dsu.groups();
-
-    ClusteringMetrics &metrics = clusteringMetrics();
-    metrics.runs.add(1);
-    metrics.reads.add(reads.size());
-    metrics.clusters.add(result.clusters.size());
-    metrics.rounds.add(last_stats.rounds_run);
-    metrics.signature_comparisons.add(last_stats.signature_comparisons);
-    metrics.edit_calls.add(last_stats.edit_distance_calls);
-    metrics.merges.add(last_stats.merges);
-    metrics.filter_rejections.add(
-        filter_rejections.load(std::memory_order_relaxed));
-    for (const auto &cluster : result.clusters)
-        metrics.cluster_size.observe(static_cast<double>(cluster.size()));
+    publishMetrics(result, reads.size(), last_stats, filter_rejections);
     return result;
 }
 

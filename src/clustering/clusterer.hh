@@ -12,7 +12,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clustering/auto_threshold.hh"
@@ -22,6 +24,21 @@
 
 namespace dnastore
 {
+
+/** Signature gram length, signature probe count and anchor length
+ *  shared by every clusterer. */
+inline constexpr std::size_t kSignatureQ = 4;
+inline constexpr std::size_t kSignatureGrams = 60;
+inline constexpr std::size_t kAnchorLen = 3;
+
+/**
+ * Bucket key of a read: the key_len bytes after the first occurrence
+ * of anchor, viewed in place.  Empty when the anchor is missing or the
+ * key would run past the end of the read.
+ */
+std::optional<std::string_view>
+anchorKey(std::string_view read, std::string_view anchor,
+          std::size_t key_len);
 
 /** Output of a clustering module: groups of read indices. */
 struct Clustering
@@ -48,9 +65,6 @@ class Clusterer
 struct RashtchianClustererConfig
 {
     SignatureKind signature = SignatureKind::QGram;
-    std::size_t q = 4;             //!< Probe gram length.
-    std::size_t num_grams = 60;    //!< Signature dimensionality.
-    std::size_t anchor_len = 3;    //!< Random anchor length per round.
     std::size_t key_len = 5;       //!< Partition key bases after anchor.
     std::size_t rounds = 32;       //!< Merge rounds.
     /** Signature-distance thresholds; negative values = auto-configure

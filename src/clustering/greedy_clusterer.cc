@@ -29,7 +29,8 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
         return result;
 
     WallTimer timer;
-    const SignatureScheme scheme(cfg.signature, rng, cfg.q, cfg.num_grams);
+    const SignatureScheme scheme(cfg.signature, rng, kSignatureQ,
+                                 kSignatureGrams);
 
     std::int64_t theta_join = cfg.theta_join;
     std::int64_t theta_check = cfg.theta_join;
@@ -49,7 +50,7 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
     // key_len bases following the anchor's first occurrence.
     std::vector<Strand> anchors;
     for (std::size_t a = 0; a < cfg.num_anchors; ++a)
-        anchors.push_back(strand::random(rng, cfg.anchor_len));
+        anchors.push_back(strand::random(rng, kAnchorLen));
 
     struct ClusterState
     {
@@ -58,29 +59,20 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
         std::vector<std::uint32_t> members;
     };
     std::vector<ClusterState> clusters;
-    // buckets[a] maps key -> cluster ids routed there by anchor a.
-    std::vector<std::unordered_map<std::string,
+    // buckets[a] maps key -> cluster ids routed there by anchor a.  Keys
+    // view the reads, which outlive this call.
+    std::vector<std::unordered_map<std::string_view,
                                    std::vector<std::uint32_t>>>
         buckets(cfg.num_anchors);
-
-    auto keys_of = [&](const Strand &read) {
-        std::vector<std::pair<std::size_t, std::string>> keys;
-        for (std::size_t a = 0; a < cfg.num_anchors; ++a) {
-            const auto pos = read.find(anchors[a]);
-            if (pos == Strand::npos)
-                continue;
-            const std::size_t start = pos + cfg.anchor_len;
-            if (start + cfg.key_len > read.size())
-                continue;
-            keys.emplace_back(a, read.substr(start, cfg.key_len));
-        }
-        return keys;
-    };
 
     for (std::uint32_t r = 0; r < reads.size(); ++r) {
         const Strand &read = reads[r];
         const Signature sig = scheme.compute(read);
-        const auto keys = keys_of(read);
+        std::vector<std::pair<std::size_t, std::string_view>> keys;
+        for (std::size_t a = 0; a < cfg.num_anchors; ++a) {
+            if (const auto key = anchorKey(read, anchors[a], cfg.key_len))
+                keys.emplace_back(a, *key);
+        }
 
         // Collect candidate clusters from every bucket the read hashes
         // into and keep the best-matching representative.

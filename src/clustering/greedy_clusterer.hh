@@ -25,11 +25,8 @@ namespace dnastore
 struct GreedyClustererConfig
 {
     SignatureKind signature = SignatureKind::QGram;
-    std::size_t q = 4;           //!< Probe gram length.
-    std::size_t num_grams = 60;  //!< Signature dimensionality.
     /** Independent anchor hash functions routing reads to buckets. */
     std::size_t num_anchors = 8;
-    std::size_t anchor_len = 3;  //!< Anchor length.
     std::size_t key_len = 4;     //!< Bucket key bases after the anchor.
     /** Join the best candidate if the signature distance is below this;
      *  negative = auto-configure from a sample (Section VI-B). */

@@ -1,11 +1,9 @@
 #include "clustering/signature.hh"
 
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "dna/base.hh"
 #include "dna/qgram.hh"
 #include "util/hot.hh"
 
@@ -20,7 +18,7 @@ signatureKindName(SignatureKind kind)
 
 SignatureScheme::SignatureScheme(SignatureKind kind, Rng &rng, std::size_t q,
                                  std::size_t num_grams)
-    : kind_(kind), probes(randomQGramSet(rng, q, num_grams))
+    : SignatureScheme(kind, randomQGramSet(rng, q, num_grams))
 {
 }
 
@@ -28,43 +26,51 @@ SignatureScheme::SignatureScheme(SignatureKind kind,
                                  std::vector<std::string> probes_in)
     : kind_(kind), probes(std::move(probes_in))
 {
-    if (probes.empty())
-        throw std::invalid_argument("SignatureScheme: empty probe set");
+    const std::size_t q = probes.empty() ? 0 : probes.front().size();
+    if (q == 0 || q > kMaxQ)
+        throw std::invalid_argument("SignatureScheme: no probes or bad q");
+    probe_of_code.assign(std::size_t{1} << (2 * q), -1);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        std::size_t code = 0;
+        for (const char c : probes[p]) {
+            if (!isBaseChar(c))
+                throw std::invalid_argument("SignatureScheme: non-ACGT probe");
+            code = (code << 2) | charToCode(c);
+        }
+        if (probes[p].size() != q || probe_of_code[code] >= 0)
+            throw std::invalid_argument(
+                "SignatureScheme: probes must be distinct, of one length");
+        probe_of_code[code] = static_cast<std::int32_t>(p);
+    }
 }
 
 DNASTORE_HOT Signature
 SignatureScheme::compute(const std::string &read) const
 {
+    // First position of every probe, -1 while unseen.  q-gram keeps
+    // only presence; w-gram keeps the positions (paper Section VI-C).
     Signature sig;
-    sig.values.resize(probes.size());
+    sig.values.assign(probes.size(), -1);
     const std::size_t q = probes.front().size();
-
+    const std::size_t mask = probe_of_code.size() - 1;
+    std::size_t code = 0;
+    std::size_t run = 0; // ACGT bytes since the last restart
+    for (std::size_t i = 0; i < read.size(); ++i) {
+        if (!isBaseChar(read[i])) {
+            run = 0;
+            continue;
+        }
+        code = ((code << 2) | charToCode(read[i])) & mask;
+        if (++run < q)
+            continue;
+        const std::int32_t p = probe_of_code[code];
+        if (p >= 0 && sig.values[static_cast<std::size_t>(p)] < 0)
+            sig.values[static_cast<std::size_t>(p)] =
+                static_cast<std::int32_t>(i + 1 - q);
+    }
     if (kind_ == SignatureKind::QGram) {
-        // One pass over the read collecting its q-grams, then O(1)
-        // membership probes: presence bits don't need positions.
-        std::unordered_set<std::string_view> present;
-        if (read.size() >= q)
-            present.reserve(read.size() - q + 1);
-        for (std::size_t i = 0; i + q <= read.size(); ++i)
-            present.insert(std::string_view(read).substr(i, q));
-        for (std::size_t p = 0; p < probes.size(); ++p)
-            sig.values[p] = present.count(probes[p]) ? 1 : 0;
-        return sig;
-    }
-
-    // w-gram: record the first occurrence position of every q-gram of
-    // the read (paper Section VI-C: costlier to compute and store than
-    // presence bits), then look the probes up.
-    std::unordered_map<std::string_view, std::int32_t> first_pos;
-    if (read.size() >= q)
-        first_pos.reserve(read.size() - q + 1);
-    for (std::size_t i = 0; i + q <= read.size(); ++i) {
-        first_pos.emplace(std::string_view(read).substr(i, q),
-                          static_cast<std::int32_t>(i));
-    }
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-        const auto it = first_pos.find(probes[p]);
-        sig.values[p] = it == first_pos.end() ? -1 : it->second;
+        for (std::int32_t &v : sig.values)
+            v = v >= 0 ? 1 : 0;
     }
     return sig;
 }

@@ -6,7 +6,7 @@
  * novel w-gram signature records the *first-occurrence position* of
  * each probe instead (compared with the L1 norm), which spreads
  * signatures of unrelated clusters further apart and avoids many edit
- * distance calls at the price of a costlier signature.
+ * distance calls.  Both kinds come from the same one-pass scan.
  */
 
 #pragma once
@@ -44,23 +44,34 @@ struct Signature
 class SignatureScheme
 {
   public:
+    /** Longest supported gram: the probe table has 4^q entries. */
+    static constexpr std::size_t kMaxQ = 8;
+
     /**
      * @param kind       QGram or WGram.
      * @param rng        Source for the random probe set.
-     * @param q          Gram length.
+     * @param q          Gram length, 1..kMaxQ.
      * @param num_grams  Probe-set size (signature dimensionality).
      */
     SignatureScheme(SignatureKind kind, Rng &rng, std::size_t q,
                     std::size_t num_grams);
 
-    /** Construct with an explicit probe set (for tests). */
+    /**
+     * Construct with an explicit probe set (for tests).  Throws
+     * std::invalid_argument unless the probes are distinct, non-empty,
+     * of one length q in 1..kMaxQ, and over upper-case ACGT.
+     */
     SignatureScheme(SignatureKind kind, std::vector<std::string> probes);
 
     SignatureKind kind() const { return kind_; }
     std::size_t dimensions() const { return probes.size(); }
     const std::vector<std::string> &probeSet() const { return probes; }
 
-    /** Compute the signature of a read. */
+    /**
+     * Compute the signature of a read: one rolling 2-bit pass that
+     * records each probe's first position.  A byte other than upper-case
+     * ACGT restarts the window, so no gram spanning it matches.
+     */
     Signature compute(const std::string &read) const;
 
     /**
@@ -72,6 +83,8 @@ class SignatureScheme
   private:
     SignatureKind kind_;
     std::vector<std::string> probes;
+    /** 2-bit gram code -> probe index, or -1 for a gram no probe has. */
+    std::vector<std::int32_t> probe_of_code;
 };
 
 } // namespace dnastore

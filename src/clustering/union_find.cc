@@ -61,6 +61,7 @@ std::vector<std::vector<std::uint32_t>>
 UnionFind::groups()
 {
     std::vector<std::vector<std::uint32_t>> out;
+    out.reserve(sets);
     std::vector<std::int64_t> root_slot(parent.size(), -1);
     for (std::size_t i = 0; i < parent.size(); ++i) {
         const std::size_t root = find(i);

@@ -10,21 +10,6 @@ namespace dnastore
 {
 
 std::vector<std::string>
-distinctQGrams(const std::string &s, std::size_t q)
-{
-    std::vector<std::string> out;
-    if (q == 0 || s.size() < q)
-        return out;
-    std::unordered_set<std::string> seen;
-    for (std::size_t i = 0; i + q <= s.size(); ++i) {
-        std::string gram = s.substr(i, q);
-        if (seen.insert(gram).second)
-            out.push_back(std::move(gram));
-    }
-    return out;
-}
-
-std::vector<std::string>
 randomQGramSet(Rng &rng, std::size_t q, std::size_t num_grams)
 {
     if (q == 0)
@@ -43,13 +28,6 @@ randomQGramSet(Rng &rng, std::size_t q, std::size_t num_grams)
             out.push_back(std::move(gram));
     }
     return out;
-}
-
-std::int32_t
-firstOccurrence(const std::string &s, const std::string &pattern)
-{
-    const auto pos = s.find(pattern);
-    return pos == std::string::npos ? -1 : static_cast<std::int32_t>(pos);
 }
 
 } // namespace dnastore

@@ -1,14 +1,13 @@
 /**
  * @file
- * q-gram extraction helpers used by the clustering signatures (paper
- * Section VI).  A q-gram is a length-q substring; clustering compares
- * reads via the presence (q-gram signature) or first-occurrence position
- * (w-gram signature) of a random set of q-grams.
+ * The random probe set of the clustering signatures (paper Section VI).
+ * A q-gram is a length-q substring; clustering compares reads via the
+ * presence (q-gram signature) or first-occurrence position (w-gram
+ * signature) of a random set of q-grams.
  */
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,22 +16,12 @@
 namespace dnastore
 {
 
-/** All distinct q-grams of s, in order of first occurrence. */
-std::vector<std::string> distinctQGrams(const std::string &s, std::size_t q);
-
 /**
  * Generate num_grams distinct random q-grams over ACGT, used as the
  * probe set for signatures.  Requires num_grams <= 4^q.
  */
 std::vector<std::string>
 randomQGramSet(Rng &rng, std::size_t q, std::size_t num_grams);
-
-/**
- * Index of the first occurrence of pattern in s, or -1 if absent.
- * (Thin wrapper around std::string::find with a signed result, the form
- * the w-gram signature wants.)
- */
-std::int32_t firstOccurrence(const std::string &s, const std::string &pattern);
 
 } // namespace dnastore
 

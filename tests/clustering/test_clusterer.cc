@@ -8,6 +8,7 @@
 
 #include "clustering/accuracy.hh"
 #include "clustering/clusterer.hh"
+#include "obs/metrics.hh"
 #include "simulator/iid_channel.hh"
 #include "simulator/sequencing_run.hh"
 
@@ -35,6 +36,22 @@ TEST(Clusterer, EmptyAndSingletonInputs)
     const auto single = clusterer.cluster({"ACGTACGT"});
     ASSERT_EQ(single.numClusters(), 1u);
     EXPECT_EQ(single.clusters[0], std::vector<std::uint32_t>{0});
+}
+
+TEST(Clusterer, TinyInputsAreCountedInMetrics)
+{
+    RashtchianClusterer clusterer({});
+    clusterer.cluster({}); // registers the metrics before the snapshot
+    const obs::MetricsSnapshot before = obs::metrics().snapshot();
+    clusterer.cluster({});
+    clusterer.cluster({"ACGTACGT"});
+    const obs::MetricsSnapshot delta =
+        obs::metrics().snapshot().delta(before);
+    EXPECT_EQ(delta.counters.at("clustering.runs_total"), 2u);
+    EXPECT_EQ(delta.counters.at("clustering.reads_total"), 1u);
+    EXPECT_EQ(delta.counters.at("clustering.clusters_total"), 1u);
+    EXPECT_EQ(delta.histograms.at("clustering.cluster_size_reads").total_count,
+              1u);
 }
 
 TEST(Clusterer, PerfectReadsClusterPerfectly)

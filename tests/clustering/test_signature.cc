@@ -69,6 +69,55 @@ TEST(SignatureScheme, EmptyProbeSetThrows)
                  std::invalid_argument);
 }
 
+TEST(SignatureScheme, InvalidProbeSetsThrow)
+{
+    using Probes = std::vector<std::string>;
+    for (const Probes &probes : {
+             Probes{"AC", "GTA"},      // mixed lengths
+             Probes{"AC", "Gt"},       // lower case
+             Probes{"AC", "GN"},       // not a base
+             Probes{"AC", "GT", "AC"}, // duplicate
+             Probes{""},               // q = 0
+             Probes{"ACGTACGTA"},      // q above kMaxQ
+         }) {
+        for (SignatureKind kind : {SignatureKind::QGram, SignatureKind::WGram})
+            EXPECT_THROW(SignatureScheme(kind, probes), std::invalid_argument)
+                << probes.back();
+    }
+    EXPECT_NO_THROW(SignatureScheme(SignatureKind::QGram, {"ACGTACGT"}));
+    EXPECT_NO_THROW(SignatureScheme(SignatureKind::QGram, {"A", "C"}));
+}
+
+TEST(SignatureScheme, NonBaseBytesMatchNoProbe)
+{
+    // Lower case and N never equal an upper-case probe byte, so a gram
+    // that spans one is absent; the grams either side still count.
+    SignatureScheme wgram(SignatureKind::WGram, {"ACG", "CGT", "GTT", "TTA"});
+    EXPECT_EQ(wgram.compute("ACGtTACGT").values,
+              (std::vector<std::int32_t>{0, 6, -1, -1}));
+    EXPECT_EQ(wgram.compute("ACNGTTA").values,
+              (std::vector<std::int32_t>{-1, -1, 3, 4}));
+    EXPECT_EQ(wgram.compute("acgtta").values,
+              (std::vector<std::int32_t>{-1, -1, -1, -1}));
+    SignatureScheme qgram(SignatureKind::QGram, {"ACG", "CGT", "GTT", "TTA"});
+    EXPECT_EQ(qgram.compute("ACNGTTA").values,
+              (std::vector<std::int32_t>{0, 0, 1, 1}));
+}
+
+TEST(SignatureScheme, ReadsShorterThanQHaveNoGrams)
+{
+    SignatureScheme wgram(SignatureKind::WGram, {"ACGT", "CCCC"});
+    SignatureScheme qgram(SignatureKind::QGram, {"ACGT", "CCCC"});
+    for (const std::string read : {"", "A", "ACG"}) {
+        EXPECT_EQ(wgram.compute(read).values,
+                  (std::vector<std::int32_t>{-1, -1}));
+        EXPECT_EQ(qgram.compute(read).values,
+                  (std::vector<std::int32_t>{0, 0}));
+    }
+    EXPECT_EQ(wgram.compute("ACGT").values,
+              (std::vector<std::int32_t>{0, -1}));
+}
+
 TEST(SignatureScheme, RandomConstructionHasRequestedShape)
 {
     Rng rng(1);

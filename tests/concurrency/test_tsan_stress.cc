@@ -109,20 +109,26 @@ TEST(TsanStress, RashtchianParallelSignaturePathMatchesSequential)
     Rng rng(4242);
     const auto reads = noisyReads(rng, 60, 8);
 
-    RashtchianClustererConfig sequential_cfg;
-    sequential_cfg.rounds = 12;
-    sequential_cfg.num_threads = 1;
-    RashtchianClusterer sequential(sequential_cfg);
+    RashtchianClustererConfig cfg;
+    cfg.rounds = 12;
+    cfg.num_threads = 1;
+    RashtchianClusterer sequential(cfg);
     const Clustering expected = sequential.cluster(reads);
+    const RashtchianClusterer::Stats &want = sequential.stats();
 
-    RashtchianClustererConfig parallel_cfg = sequential_cfg;
-    parallel_cfg.num_threads = 4;
-    RashtchianClusterer parallel(parallel_cfg);
-    const Clustering actual = parallel.cluster(reads);
-
-    // Merge order may differ across schedules, but the merged pairs are
-    // identical, so the final partition must be too.
-    EXPECT_EQ(actual.numClusters(), expected.numClusters());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        cfg.num_threads = threads;
+        RashtchianClusterer parallel(cfg);
+        EXPECT_EQ(parallel.cluster(reads).clusters, expected.clusters)
+            << threads << " threads";
+        const RashtchianClusterer::Stats &got = parallel.stats();
+        EXPECT_EQ(got.signature_comparisons, want.signature_comparisons);
+        EXPECT_EQ(got.edit_distance_calls, want.edit_distance_calls);
+        EXPECT_EQ(got.merges, want.merges);
+        EXPECT_EQ(got.rounds_run, want.rounds_run);
+        EXPECT_EQ(got.theta_low, want.theta_low);
+        EXPECT_EQ(got.theta_high, want.theta_high);
+    }
 }
 
 TEST(TsanStress, ArchiveGetAndSaveShareOneThreadPool)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for q-gram extraction helpers.
+ * Tests for the random q-gram probe set.
  */
 
 #include <gtest/gtest.h>
@@ -13,24 +13,6 @@ namespace dnastore
 {
 namespace
 {
-
-TEST(DistinctQGrams, EnumeratesInFirstOccurrenceOrder)
-{
-    const auto grams = distinctQGrams("AABAA", 2);
-    ASSERT_EQ(grams.size(), 3u);
-    EXPECT_EQ(grams[0], "AA");
-    EXPECT_EQ(grams[1], "AB");
-    EXPECT_EQ(grams[2], "BA");
-}
-
-TEST(DistinctQGrams, EdgeCases)
-{
-    EXPECT_TRUE(distinctQGrams("ACG", 4).empty());
-    EXPECT_TRUE(distinctQGrams("ACG", 0).empty());
-    const auto whole = distinctQGrams("ACG", 3);
-    ASSERT_EQ(whole.size(), 1u);
-    EXPECT_EQ(whole[0], "ACG");
-}
 
 TEST(RandomQGramSet, ProducesDistinctGramsOfRightLength)
 {
@@ -57,14 +39,6 @@ TEST(RandomQGramSet, RejectsImpossibleRequests)
     Rng rng(3);
     EXPECT_THROW(randomQGramSet(rng, 2, 17), std::invalid_argument);
     EXPECT_THROW(randomQGramSet(rng, 0, 1), std::invalid_argument);
-}
-
-TEST(FirstOccurrence, FindsAndMisses)
-{
-    EXPECT_EQ(firstOccurrence("ACGTACGT", "GTA"), 2);
-    EXPECT_EQ(firstOccurrence("ACGTACGT", "TTT"), -1);
-    EXPECT_EQ(firstOccurrence("ACGT", "ACGT"), 0);
-    EXPECT_EQ(firstOccurrence("", "A"), -1);
 }
 
 } // namespace
