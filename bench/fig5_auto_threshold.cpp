@@ -78,6 +78,9 @@ main(int argc, char **argv)
         }
 
         // Quality of the chosen thresholds on labelled pairs.
+        SignatureTable sigs(scheme, run.reads.size());
+        for (std::size_t i = 0; i < run.reads.size(); ++i)
+            sigs.compute(i, run.reads[i]);
         std::size_t intra_below_high = 0, intra_low = 0, intra_total = 0;
         std::size_t inter_above_low = 0, inter_total = 0;
         for (int t = 0; t < 4000; ++t) {
@@ -85,8 +88,7 @@ main(int argc, char **argv)
             const std::size_t j = rng.below(run.reads.size());
             if (i == j)
                 continue;
-            const auto d = scheme.distance(scheme.compute(run.reads[i]),
-                                           scheme.compute(run.reads[j]));
+            const auto d = sigs.distance(i, j);
             if (run.origin[i] == run.origin[j]) {
                 ++intra_total;
                 intra_below_high += d < thresholds.high;

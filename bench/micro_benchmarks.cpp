@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "clustering/clusterer.hh"
 #include "clustering/signature.hh"
 #include "dna/align.hh"
 #include "dna/distance.hh"
@@ -68,15 +69,35 @@ BM_LevenshteinMyers(benchmark::State &state)
 BENCHMARK(BM_LevenshteinMyers)->Range(32, 512)->Complexity();
 
 void
+BM_WithinEditDistance(benchmark::State &state)
+{
+    // The clustering's gray-zone check at the table3 shape: 132-nt
+    // reads at 6% error and the threshold forErrorRate picks for them.
+    // Arg 0: two reads of one strand; arg 1: reads of two strands.
+    const std::size_t len = 132;
+    const std::size_t threshold =
+        RashtchianClustererConfig::forErrorRate(0.06, len).edit_threshold;
+    const auto same = noisyPair(13, len, 0.06);
+    const auto other = noisyPair(14, len, 0.06);
+    const Strand &b = state.range(0) == 0 ? same[1] : other[0];
+    for (auto _ : state)
+        benchmark::DoNotOptimize(withinEditDistance(same[0], b, threshold));
+}
+BENCHMARK(BM_WithinEditDistance)->Arg(0)->Arg(1);
+
+void
 BM_SignatureCompute(benchmark::State &state)
 {
     Rng rng(3);
     const auto kind = state.range(0) == 0 ? SignatureKind::QGram
                                           : SignatureKind::WGram;
     SignatureScheme scheme(kind, rng, 4, 60);
+    SignatureTable table(scheme, 1);
     const Strand read = strand::random(rng, 132);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(scheme.compute(read));
+    for (auto _ : state) {
+        table.compute(0, read);
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_SignatureCompute)->Arg(0)->Arg(1);
 
@@ -87,10 +108,11 @@ BM_SignatureDistance(benchmark::State &state)
     const auto kind = state.range(0) == 0 ? SignatureKind::QGram
                                           : SignatureKind::WGram;
     SignatureScheme scheme(kind, rng, 4, 60);
-    const auto a = scheme.compute(strand::random(rng, 132));
-    const auto b = scheme.compute(strand::random(rng, 132));
+    SignatureTable table(scheme, 2);
+    table.compute(0, strand::random(rng, 132));
+    table.compute(1, strand::random(rng, 132));
     for (auto _ : state)
-        benchmark::DoNotOptimize(scheme.distance(a, b));
+        benchmark::DoNotOptimize(table.distance(0, 1));
 }
 BENCHMARK(BM_SignatureDistance)->Arg(0)->Arg(1);
 

@@ -20,11 +20,12 @@ autoConfigureThresholds(const std::vector<Strand> &reads,
     const auto small_idx = rng.sampleIndices(reads.size(), small_n);
     const auto large_idx = rng.sampleIndices(reads.size(), large_n);
 
-    std::vector<Signature> small_sigs(small_n), large_sigs(large_n);
+    // Rows [0, small_n) hold the small sample, the rest the large one.
+    SignatureTable sigs(scheme, small_n + large_n);
     for (std::size_t i = 0; i < small_n; ++i)
-        small_sigs[i] = scheme.compute(reads[small_idx[i]]);
+        sigs.compute(i, reads[small_idx[i]]);
     for (std::size_t j = 0; j < large_n; ++j)
-        large_sigs[j] = scheme.compute(reads[large_idx[j]]);
+        sigs.compute(small_n + j, reads[large_idx[j]]);
 
     // Histogram range: q-gram distances are bounded by dimensionality;
     // w-gram distances can reach dimensions * read length.
@@ -42,8 +43,7 @@ autoConfigureThresholds(const std::vector<Strand> &reads,
         for (std::size_t j = 0; j < large_n; ++j) {
             if (small_idx[i] == large_idx[j])
                 continue;
-            out.histogram.add(
-                scheme.distance(small_sigs[i], large_sigs[j]));
+            out.histogram.add(sigs.distance(i, small_n + j));
         }
     }
 

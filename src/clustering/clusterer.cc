@@ -1,9 +1,10 @@
 #include "clustering/clusterer.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
-#include <utility>
+#include <string_view>
 
 #include "clustering/union_find.hh"
 #include "dna/distance.hh"
@@ -41,15 +42,56 @@ publishMetrics(const Clustering &result, std::size_t num_reads,
         {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0});
     for (const auto &cluster : result.clusters)
         cluster_size.observe(static_cast<double>(cluster.size()));
+    if (num_reads < 2)
+        return; // no thresholds were set
+    // Signature-distance thresholds: q-gram distances reach the probe
+    // count, w-gram ones the probe count times the read length.
+    const std::vector<double> theta_bounds = {
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
+        1024.0, 2048.0, 4096.0};
+    reg.histogram("clustering.theta_low", theta_bounds)
+        .observe(static_cast<double>(stats.theta_low));
+    reg.histogram("clustering.theta_high", theta_bounds)
+        .observe(static_cast<double>(stats.theta_high));
 }
 
-/** One round's representative: its bucket key and read index. */
-using KeyedRep = std::pair<std::string_view, std::uint32_t>;
+/**
+ * One round's representative: a view of its key_len-byte bucket key,
+ * its read index and the index of the cluster it represents.
+ */
+struct KeyedRep
+{
+    const char *key;
+    std::uint32_t rep;
+    std::uint32_t cluster;
+};
 
-/** What merging one bucket did: its merges, in order, and counters. */
+/**
+ * Stable sort of items by their key_len-byte keys in linear time: a
+ * counting sort per key byte, last byte first.  Gives std::stable_sort's
+ * order under string_view comparison (bytes compare as unsigned char).
+ */
+void
+sortByKey(std::vector<KeyedRep> &items, std::vector<KeyedRep> &spare,
+          std::size_t key_len)
+{
+    spare.resize(items.size());
+    for (std::size_t byte = key_len; byte-- > 0;) {
+        std::array<std::size_t, 257> next{};
+        for (const KeyedRep &item : items)
+            ++next[static_cast<unsigned char>(item.key[byte]) + 1u];
+        for (std::size_t c = 1; c < next.size(); ++c)
+            next[c] += next[c - 1];
+        for (const KeyedRep &item : items)
+            spare[next[static_cast<unsigned char>(item.key[byte])]++] = item;
+        items.swap(spare);
+    }
+}
+
+/** What merging one bucket did: its merge count and counters. */
 struct BucketResult
 {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> merges;
+    std::size_t merges = 0;
     std::size_t comparisons = 0;
     std::size_t edit_calls = 0;
     std::size_t filter_rejections = 0;
@@ -98,10 +140,16 @@ DNASTORE_HOT Clustering
 RashtchianClusterer::cluster(const std::vector<Strand> &reads)
 {
     last_stats = Stats{};
+    // The clusters, ordered by smallest member, each listing its
+    // members in ascending order (UnionFind::groups()'s order): every
+    // read starts alone, and the rounds keep the lists up to date.
     Clustering result;
+    std::vector<std::vector<std::uint32_t>> &clusters = result.clusters;
+    clusters.resize(reads.size());
+    for (std::uint32_t i = 0; i < reads.size(); ++i)
+        clusters[i].assign(1, i);
     if (reads.size() < 2) {
         // Nothing to merge; draw nothing from rng.
-        result.clusters = UnionFind(reads.size()).groups();
         publishMetrics(result, reads.size(), last_stats, 0);
         return result;
     }
@@ -112,11 +160,11 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     // Signature pre-calculation (reported separately in Table II).
     WallTimer sig_timer;
     obs::Span sig_span("clustering/signature_pass");
-    std::vector<Signature> signatures(reads.size());
+    SignatureTable signatures(scheme, reads.size());
     const std::unique_ptr<ThreadPool> pool =
         poolFor(cfg.num_threads, reads.size());
     forEachIndex(pool.get(), reads.size(), [&](std::size_t i) {
-        signatures[i] = scheme.compute(reads[i]);
+        signatures.compute(i, reads[i]);
     });
     sig_span.end();
     last_stats.signature_seconds = sig_timer.seconds();
@@ -138,20 +186,19 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     // Merge the members of one bucket in pair order on a union-find of
     // their positions.  A round sends one representative per cluster
     // into at most one bucket, so only this bucket's own merges can
-    // connect two of its members: the local answer is the global one.
+    // connect two of its members: the local answer is the global one,
+    // and the bucket's clusters are its own to rewrite.
     auto merge_bucket = [&](std::span<const KeyedRep> members,
                             BucketResult &bucket) {
-        bucket.merges.reserve(members.size() - 1);
         UnionFind local(members.size());
         for (std::size_t i = 0; i < members.size(); ++i) {
             for (std::size_t j = i + 1; j < members.size(); ++j) {
                 if (local.connected(i, j))
                     continue;
-                const std::uint32_t a = members[i].second;
-                const std::uint32_t c = members[j].second;
+                const std::uint32_t a = members[i].rep;
+                const std::uint32_t c = members[j].rep;
                 ++bucket.comparisons;
-                const std::int64_t d =
-                    scheme.distance(signatures[a], signatures[c]);
+                const std::int64_t d = signatures.distance(a, c);
                 if (d > theta_low) {
                     if (d >= theta_high) {
                         // Signature filter rejected the pair outright.
@@ -164,15 +211,39 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
                         continue;
                 }
                 local.merge(i, j);
-                bucket.merges.emplace_back(a, c);
+                ++bucket.merges;
+            }
+        }
+        if (bucket.merges == 0)
+            return;
+        // Fold each merged cluster into the first of its component (the
+        // one with the smallest member: members come in cluster order),
+        // leaving it empty, then restore ascending order.
+        std::vector<std::size_t> first(members.size(), members.size());
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            std::size_t &head = first[local.find(i)];
+            if (head == members.size()) {
+                head = i;
+                continue;
+            }
+            std::vector<std::uint32_t> &into = clusters[members[head].cluster];
+            std::vector<std::uint32_t> &from = clusters[members[i].cluster];
+            into.insert(into.end(), from.begin(), from.end());
+            from.clear();
+        }
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (first[local.find(i)] == i && local.sizeOf(i) > 1) {
+                std::vector<std::uint32_t> &merged =
+                    clusters[members[i].cluster];
+                std::sort(merged.begin(), merged.end());
             }
         }
     };
 
     WallTimer merge_timer;
-    UnionFind dsu(reads.size());
     std::size_t filter_rejections = 0;
-    std::vector<KeyedRep> keyed;
+    std::vector<KeyedRep> drawn, keyed, spare;
+    drawn.reserve(reads.size());
     keyed.reserve(reads.size());
     std::vector<std::span<const KeyedRep>> buckets;
     buckets.reserve(reads.size() / 2);
@@ -184,26 +255,35 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
         // One random representative per current cluster, keyed by the
         // key_len bases following the anchor's first occurrence; a
         // cluster whose representative has no key sits the round out.
-        const auto groups = dsu.groups();
         const Strand anchor = strand::random(rng, kAnchorLen);
+        drawn.resize(clusters.size());
+        for (std::size_t k = 0; k < clusters.size(); ++k) {
+            const std::vector<std::uint32_t> &members = clusters[k];
+            drawn[k] = {nullptr, members[rng.below(members.size())],
+                        static_cast<std::uint32_t>(k)};
+        }
+        forEachIndex(pool.get(), drawn.size(), [&](std::size_t k) {
+            if (const auto key =
+                    anchorKey(reads[drawn[k].rep], anchor, cfg.key_len))
+                drawn[k].key = key->data();
+        });
         keyed.clear();
-        for (const auto &group : groups) {
-            const std::uint32_t rep = group[rng.below(group.size())];
-            if (const auto key = anchorKey(reads[rep], anchor, cfg.key_len))
-                keyed.emplace_back(*key, rep);
+        for (const KeyedRep &item : drawn) {
+            if (item.key != nullptr)
+                keyed.push_back(item);
         }
 
         // Equal keys form a run; a run of two or more is a bucket, its
-        // members in group order.
-        std::stable_sort(keyed.begin(), keyed.end(),
-                         [](const KeyedRep &x, const KeyedRep &y) {
-                             return x.first < y.first;
-                         });
+        // members in cluster order.
+        sortByKey(keyed, spare, cfg.key_len);
         buckets.clear();
+        auto key_of = [&](const KeyedRep &item) {
+            return std::string_view(item.key, cfg.key_len);
+        };
         for (std::size_t begin = 0, end = 0; begin < keyed.size();
              begin = end) {
             while (end < keyed.size() &&
-                   keyed[end].first == keyed[begin].first)
+                   key_of(keyed[end]) == key_of(keyed[begin]))
                 ++end;
             if (end - begin > 1)
                 buckets.emplace_back(keyed.data() + begin, end - begin);
@@ -214,17 +294,18 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
             merge_bucket(buckets[b], results[b]);
         });
         for (const BucketResult &bucket : results) {
-            for (const auto &[a, c] : bucket.merges)
-                dsu.merge(a, c);
-            last_stats.merges += bucket.merges.size();
+            last_stats.merges += bucket.merges;
             last_stats.signature_comparisons += bucket.comparisons;
             last_stats.edit_distance_calls += bucket.edit_calls;
             filter_rejections += bucket.filter_rejections;
         }
+        // Drop the clusters merged away; the rest keep their order.
+        std::erase_if(clusters, [](const std::vector<std::uint32_t> &c) {
+            return c.empty();
+        });
     }
 
     last_stats.clustering_seconds = merge_timer.seconds();
-    result.clusters = dsu.groups();
     publishMetrics(result, reads.size(), last_stats, filter_rejections);
     return result;
 }

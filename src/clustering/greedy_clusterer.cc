@@ -55,7 +55,6 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
     struct ClusterState
     {
         std::uint32_t representative;
-        Signature signature;
         std::vector<std::uint32_t> members;
     };
     std::vector<ClusterState> clusters;
@@ -65,9 +64,10 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
                                    std::vector<std::uint32_t>>>
         buckets(cfg.num_anchors);
 
+    SignatureTable signatures(scheme, reads.size());
     for (std::uint32_t r = 0; r < reads.size(); ++r) {
         const Strand &read = reads[r];
-        const Signature sig = scheme.compute(read);
+        signatures.compute(r, read);
         std::vector<std::pair<std::size_t, std::string_view>> keys;
         for (std::size_t a = 0; a < cfg.num_anchors; ++a) {
             if (const auto key = anchorKey(read, anchors[a], cfg.key_len))
@@ -85,7 +85,7 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
             for (const std::uint32_t c : it->second) {
                 ++last_stats.signature_comparisons;
                 const std::int64_t d =
-                    scheme.distance(sig, clusters[c].signature);
+                    signatures.distance(r, clusters[c].representative);
                 if (best_cluster < 0 || d < best_distance) {
                     best_distance = d;
                     best_cluster = c;
@@ -116,7 +116,7 @@ GreedyOnlineClusterer::cluster(const std::vector<Strand> &reads)
         // Found a new cluster; route it into its buckets.
         const std::uint32_t id =
             static_cast<std::uint32_t>(clusters.size());
-        clusters.push_back({r, sig, {r}});
+        clusters.push_back({r, {r}});
         ++last_stats.clusters_created;
         for (const auto &[a, key] : keys)
             buckets[a][key].push_back(id);

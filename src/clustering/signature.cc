@@ -1,6 +1,7 @@
 #include "clustering/signature.hh"
 
-#include <cstdlib>
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "dna/base.hh"
@@ -9,6 +10,20 @@
 
 namespace dnastore
 {
+
+namespace
+{
+
+/** 2-bit code of an upper-case A/C/G/T byte; 4 for every other byte. */
+constexpr std::array<std::uint8_t, 256> kUpperBaseCode = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(4);
+    for (std::uint8_t code = 0; code < 4; ++code)
+        table[static_cast<unsigned char>(baseToChar(code))] = code;
+    return table;
+}();
+
+} // namespace
 
 const char *
 signatureKindName(SignatureKind kind)
@@ -29,6 +44,9 @@ SignatureScheme::SignatureScheme(SignatureKind kind,
     const std::size_t q = probes.empty() ? 0 : probes.front().size();
     if (q == 0 || q > kMaxQ)
         throw std::invalid_argument("SignatureScheme: no probes or bad q");
+    if (kind_ == SignatureKind::QGram && probes.size() > kMaxQGramProbes)
+        throw std::invalid_argument(
+            "SignatureScheme: more q-gram probes than mask bits");
     probe_of_code.assign(std::size_t{1} << (2 * q), -1);
     for (std::size_t p = 0; p < probes.size(); ++p) {
         std::size_t code = 0;
@@ -44,52 +62,59 @@ SignatureScheme::SignatureScheme(SignatureKind kind,
     }
 }
 
-DNASTORE_HOT Signature
-SignatureScheme::compute(const std::string &read) const
+SignatureTable::SignatureTable(const SignatureScheme &scheme_in,
+                               std::size_t count)
+    : scheme(scheme_in), dims(scheme_in.dimensions())
 {
-    // First position of every probe, -1 while unseen.  q-gram keeps
-    // only presence; w-gram keeps the positions (paper Section VI-C).
-    Signature sig;
-    sig.values.assign(probes.size(), -1);
-    const std::size_t q = probes.front().size();
-    const std::size_t mask = probe_of_code.size() - 1;
+    if (scheme.kind() == SignatureKind::QGram)
+        masks.assign(count, 0);
+    else
+        positions.assign(count * dims, -1);
+}
+
+DNASTORE_HOT void
+SignatureTable::compute(std::size_t i, std::string_view read)
+{
+    // A table lookup per byte keeps random reads free of mispredicted
+    // branches; q-gram presence is set without a branch (probe -1
+    // shifts in nothing).
+    const std::size_t q = scheme.probes.front().size();
+    const std::size_t code_mask = scheme.probe_of_code.size() - 1;
+    const bool qgram = scheme.kind() == SignatureKind::QGram;
+    std::uint64_t mask = 0;
+    std::int32_t *const first = qgram ? nullptr : positions.data() + i * dims;
+    if (!qgram)
+        std::fill(first, first + dims, -1);
     std::size_t code = 0;
     std::size_t run = 0; // ACGT bytes since the last restart
-    for (std::size_t i = 0; i < read.size(); ++i) {
-        if (!isBaseChar(read[i])) {
+    for (std::size_t pos = 0; pos < read.size(); ++pos) {
+        const std::uint8_t base =
+            kUpperBaseCode[static_cast<unsigned char>(read[pos])];
+        if (base > 3) {
             run = 0;
             continue;
         }
-        code = ((code << 2) | charToCode(read[i])) & mask;
+        code = ((code << 2) | base) & code_mask;
         if (++run < q)
             continue;
-        const std::int32_t p = probe_of_code[code];
-        if (p >= 0 && sig.values[static_cast<std::size_t>(p)] < 0)
-            sig.values[static_cast<std::size_t>(p)] =
-                static_cast<std::int32_t>(i + 1 - q);
+        const std::int32_t p = scheme.probe_of_code[code];
+        if (qgram) {
+            mask |= std::uint64_t{p >= 0} << (p & 63);
+        } else if (p >= 0 && first[static_cast<std::size_t>(p)] < 0) {
+            first[static_cast<std::size_t>(p)] =
+                static_cast<std::int32_t>(pos + 1 - q);
+        }
     }
-    if (kind_ == SignatureKind::QGram) {
-        for (std::int32_t &v : sig.values)
-            v = v >= 0 ? 1 : 0;
-    }
-    return sig;
+    if (qgram)
+        masks[i] = mask;
 }
 
-DNASTORE_HOT std::int64_t
-SignatureScheme::distance(const Signature &a, const Signature &b) const
+std::int32_t
+SignatureTable::value(std::size_t i, std::size_t p) const
 {
-    if (a.values.size() != b.values.size())
-        throw std::invalid_argument("SignatureScheme: dimension mismatch");
-    std::int64_t total = 0;
-    if (kind_ == SignatureKind::QGram) {
-        for (std::size_t i = 0; i < a.values.size(); ++i)
-            total += a.values[i] != b.values[i];
-    } else {
-        for (std::size_t i = 0; i < a.values.size(); ++i)
-            total += std::abs(static_cast<std::int64_t>(a.values[i]) -
-                              static_cast<std::int64_t>(b.values[i]));
-    }
-    return total;
+    if (scheme.kind() == SignatureKind::QGram)
+        return static_cast<std::int32_t>((masks[i] >> p) & 1);
+    return positions[i * dims + p];
 }
 
 } // namespace dnastore

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/hot.hh"
@@ -98,46 +100,68 @@ boundedLevenshtein(const std::string &a, const std::string &b,
     return std::min(prev[m], big);
 }
 
-std::size_t
-myersLevenshtein(const std::string &a, const std::string &b)
+namespace
 {
-    // Pattern = shorter string (vertical axis): cost is
-    // O(ceil(m/64) * n) word operations.
-    const std::string &pattern = a.size() <= b.size() ? a : b;
-    const std::string &text = a.size() <= b.size() ? b : a;
+
+constexpr std::size_t kWord = 64;
+
+/**
+ * Myers' bit-parallel edit distance (Hyyro's blocked formulation) of
+ * a non-empty pattern against a text at least as long.  Returns the
+ * exact distance when it is <= k, otherwise some value above k.
+ *
+ * kBlocks is the pattern's 64-bit block count; 0 means a runtime count
+ * with the buffers in a vector.  Peq holds a row only for the symbols
+ * the pattern contains; every other byte maps to the all-zero row 0.
+ */
+template <std::size_t kBlocks>
+std::size_t
+myersKernel(std::string_view pattern, std::string_view text, std::size_t k)
+{
     const std::size_t m = pattern.size();
     const std::size_t n = text.size();
-    if (m == 0)
-        return n;
+    const std::size_t blocks =
+        kBlocks != 0 ? kBlocks : (m + kWord - 1) / kWord;
 
-    constexpr std::size_t w = 64;
-    const std::size_t blocks = (m + w - 1) / w;
-
-    // Peq[c][j]: bit i of block j set iff pattern[j*64 + i] == c.
-    std::array<std::vector<std::uint64_t>, 256> peq_storage;
-    std::vector<std::uint64_t> zero_block(blocks, 0);
-    // Only materialise rows for characters that occur (strands use a
-    // tiny alphabet).
-    std::array<std::vector<std::uint64_t> *, 256> peq{};
-    for (std::size_t i = 0; i < m; ++i) {
-        const auto c = static_cast<unsigned char>(pattern[i]);
-        if (!peq[c]) {
-            peq_storage[c].assign(blocks, 0);
-            peq[c] = &peq_storage[c];
-        }
-        (*peq[c])[i / w] |= 1ULL << (i % w);
+    std::array<std::uint16_t, 256> slot_of{};
+    std::size_t rows = 1;
+    for (const char c : pattern) {
+        std::uint16_t &slot = slot_of[static_cast<unsigned char>(c)];
+        if (slot == 0)
+            slot = static_cast<std::uint16_t>(rows++);
     }
 
-    std::vector<std::uint64_t> vp(blocks, ~0ULL), vn(blocks, 0);
-    std::size_t score = m;
-    const std::uint64_t last_mask = 1ULL << ((m - 1) % w);
-    const std::size_t last = blocks - 1;
+    // Fixed block counts keep every buffer on the stack, VP and VN in
+    // registers; Peq has at most 256 symbol rows after the zero row.
+    using Words =
+        std::conditional_t<kBlocks != 0,
+                           std::array<std::uint64_t, kBlocks>,
+                           std::vector<std::uint64_t>>;
+    using PeqRows =
+        std::conditional_t<kBlocks != 0,
+                           std::array<std::uint64_t, 257 * kBlocks>,
+                           std::vector<std::uint64_t>>;
+    Words vp{}, vn{};
+    PeqRows peq; // only rows * blocks words are used; zeroed below
+    if constexpr (kBlocks == 0) {
+        vp.resize(blocks);
+        vn.resize(blocks);
+        peq.resize(rows * blocks);
+    }
+    std::fill(vp.begin(), vp.end(), ~std::uint64_t{0});
+    std::fill(vn.begin(), vn.end(), 0);
+    std::fill(peq.data(), peq.data() + rows * blocks, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+        const auto c = static_cast<unsigned char>(pattern[i]);
+        peq[slot_of[c] * blocks + i / kWord] |= std::uint64_t{1}
+                                                << (i % kWord);
+    }
 
+    std::size_t score = m;
+    const std::uint64_t last_bit = std::uint64_t{1} << ((m - 1) % kWord);
     for (std::size_t j = 0; j < n; ++j) {
         const auto c = static_cast<unsigned char>(text[j]);
-        const std::vector<std::uint64_t> &eq_row =
-            peq[c] ? *peq[c] : zero_block;
-
+        const std::uint64_t *const eq_row = peq.data() + slot_of[c] * blocks;
         std::uint64_t add_carry = 0;
         // Horizontal deltas shift left across blocks; block 0's
         // incoming +1 encodes the top boundary row D[0][j] = j.
@@ -159,15 +183,15 @@ myersLevenshtein(const std::string &a, const std::string &b)
             std::uint64_t hp = vn[blk] | ~(xh | vp[blk]);
             std::uint64_t hn = vp[blk] & xh;
 
-            if (blk == last) {
-                if (hp & last_mask)
+            if (blk == blocks - 1) {
+                if (hp & last_bit)
                     ++score;
-                else if (hn & last_mask)
+                else if (hn & last_bit)
                     --score;
             }
 
-            const std::uint64_t hp_out = hp >> (w - 1);
-            const std::uint64_t hn_out = hn >> (w - 1);
+            const std::uint64_t hp_out = hp >> (kWord - 1);
+            const std::uint64_t hn_out = hn >> (kWord - 1);
             hp = (hp << 1) | hp_carry;
             hn = (hn << 1) | hn_carry;
             hp_carry = hp_out;
@@ -176,8 +200,42 @@ myersLevenshtein(const std::string &a, const std::string &b)
             vp[blk] = hn | ~(xv | hp);
             vn[blk] = hp & xv;
         }
+        // The score moves by at most one per remaining column, so it
+        // can no longer come back down to k.
+        if (score > k && score - k > n - 1 - j)
+            return score;
     }
     return score;
+}
+
+/** Myers' kernel on (a, b) with the shorter string as the pattern. */
+std::size_t
+myersBounded(std::string_view a, std::string_view b, std::size_t k)
+{
+    const std::string_view pattern = a.size() <= b.size() ? a : b;
+    const std::string_view text = a.size() <= b.size() ? b : a;
+    switch ((pattern.size() + kWord - 1) / kWord) {
+    case 0:
+        return text.size();
+    case 1:
+        return myersKernel<1>(pattern, text, k);
+    case 2:
+        return myersKernel<2>(pattern, text, k);
+    case 3:
+        return myersKernel<3>(pattern, text, k);
+    case 4:
+        return myersKernel<4>(pattern, text, k);
+    default:
+        return myersKernel<0>(pattern, text, k);
+    }
+}
+
+} // namespace
+
+DNASTORE_HOT std::size_t
+myersLevenshtein(const std::string &a, const std::string &b)
+{
+    return myersBounded(a, b, std::numeric_limits<std::size_t>::max());
 }
 
 DNASTORE_HOT bool
@@ -192,7 +250,7 @@ withinEditDistance(const std::string &a, const std::string &b,
     // Wide thresholds: Myers' kernel is flat in k and wins.
     if (max_distance <= 8)
         return boundedLevenshtein(a, b, max_distance) <= max_distance;
-    return myersLevenshtein(a, b) <= max_distance;
+    return myersBounded(a, b, max_distance) <= max_distance;
 }
 
 } // namespace dnastore

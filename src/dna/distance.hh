@@ -41,14 +41,16 @@ std::size_t boundedLevenshtein(const std::string &a, const std::string &b,
  * formulation): exact global edit distance in
  * O(ceil(min_len/64) * max_len) word operations.  This is the fast
  * kernel behind the clustering module's gray-zone comparisons, where
- * thresholds are too wide for the banded algorithm to win.
+ * thresholds are too wide for the banded algorithm to win.  It
+ * allocates nothing when the shorter string has at most 256 symbols.
  */
 std::size_t myersLevenshtein(const std::string &a, const std::string &b);
 
 /**
  * Convenience: true iff levenshtein(a, b) <= max_distance.  Dispatches
  * between the banded DP (cheap for tight thresholds) and Myers'
- * bit-parallel kernel (cheaper for wide ones).
+ * bit-parallel kernel (cheaper for wide ones), which stops as soon as
+ * the distance can no longer come back down to max_distance.
  */
 bool withinEditDistance(const std::string &a, const std::string &b,
                         std::size_t max_distance);

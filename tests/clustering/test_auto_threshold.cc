@@ -49,6 +49,9 @@ TEST(AutoThreshold, SeparatesIntraFromInterOnClusteredData)
         autoConfigureThresholds(run.reads, scheme, rng);
 
     // Measure classification quality of the chosen thresholds.
+    SignatureTable sigs(scheme, run.reads.size());
+    for (std::size_t i = 0; i < run.reads.size(); ++i)
+        sigs.compute(i, run.reads[i]);
     std::size_t intra_below_high = 0, intra_total = 0;
     std::size_t inter_above_low = 0, inter_total = 0;
     for (int t = 0; t < 500; ++t) {
@@ -56,8 +59,7 @@ TEST(AutoThreshold, SeparatesIntraFromInterOnClusteredData)
         const std::size_t j = rng.below(run.reads.size());
         if (i == j)
             continue;
-        const auto d = scheme.distance(scheme.compute(run.reads[i]),
-                                       scheme.compute(run.reads[j]));
+        const auto d = sigs.distance(i, j);
         if (run.origin[i] == run.origin[j]) {
             ++intra_total;
             intra_below_high += d < thresholds.high;

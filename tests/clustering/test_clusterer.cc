@@ -54,6 +54,37 @@ TEST(Clusterer, TinyInputsAreCountedInMetrics)
               1u);
 }
 
+TEST(Clusterer, PublishesTheThresholdsEachRunUsed)
+{
+    Rng rng(11);
+    const auto run = makeWorkload(rng, 40, 0.06, 6.0);
+    RashtchianClustererConfig fixed;
+    fixed.theta_low = 3;
+    fixed.theta_high = 21;
+    RashtchianClusterer automatic({});
+    RashtchianClusterer manual(fixed);
+    automatic.cluster(run.reads); // registers the metrics first
+
+    for (RashtchianClusterer *clusterer : {&automatic, &manual}) {
+        const obs::MetricsSnapshot before = obs::metrics().snapshot();
+        clusterer->cluster(run.reads);
+        const RashtchianClusterer::Stats used = clusterer->stats();
+        clusterer->cluster({"ACGTACGT"}); // sets no thresholds
+        const obs::MetricsSnapshot delta =
+            obs::metrics().snapshot().delta(before);
+        const auto &low = delta.histograms.at("clustering.theta_low");
+        const auto &high = delta.histograms.at("clustering.theta_high");
+        EXPECT_EQ(low.total_count, 1u);
+        EXPECT_EQ(high.total_count, 1u);
+        EXPECT_EQ(low.sum, static_cast<double>(used.theta_low));
+        EXPECT_EQ(high.sum, static_cast<double>(used.theta_high));
+        if (clusterer == &manual) {
+            EXPECT_EQ(used.theta_low, fixed.theta_low);
+            EXPECT_EQ(used.theta_high, fixed.theta_high);
+        }
+    }
+}
+
 TEST(Clusterer, PerfectReadsClusterPerfectly)
 {
     Rng rng(1);

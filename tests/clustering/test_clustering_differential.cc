@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -37,13 +38,15 @@ namespace
 namespace reference
 {
 
+/** Per-probe signature values of a read. */
+using Signature = std::vector<std::int32_t>;
+
 /** Signature of a read by hash-set (q-gram) or hash-map (w-gram). */
 Signature
 compute(const SignatureScheme &scheme, const std::string &read)
 {
     const auto &probes = scheme.probeSet();
-    Signature sig;
-    sig.values.resize(probes.size());
+    Signature sig(probes.size());
     const std::size_t q = probes.front().size();
 
     if (scheme.kind() == SignatureKind::QGram) {
@@ -51,7 +54,7 @@ compute(const SignatureScheme &scheme, const std::string &read)
         for (std::size_t i = 0; i + q <= read.size(); ++i)
             present.insert(std::string_view(read).substr(i, q));
         for (std::size_t p = 0; p < probes.size(); ++p)
-            sig.values[p] = present.count(probes[p]) ? 1 : 0;
+            sig[p] = present.count(probes[p]) ? 1 : 0;
         return sig;
     }
 
@@ -62,9 +65,24 @@ compute(const SignatureScheme &scheme, const std::string &read)
     }
     for (std::size_t p = 0; p < probes.size(); ++p) {
         const auto it = first_pos.find(probes[p]);
-        sig.values[p] = it == first_pos.end() ? -1 : it->second;
+        sig[p] = it == first_pos.end() ? -1 : it->second;
     }
     return sig;
+}
+
+/** Hamming (q-gram) or L1 (w-gram) distance of two signatures. */
+std::int64_t
+distance(const SignatureScheme &scheme, const Signature &a,
+         const Signature &b)
+{
+    std::int64_t total = 0;
+    for (std::size_t p = 0; p < a.size(); ++p) {
+        if (scheme.kind() == SignatureKind::QGram)
+            total += a[p] != b[p];
+        else
+            total += std::abs(static_cast<std::int64_t>(a[p]) - b[p]);
+    }
+    return total;
 }
 
 /** The Rashtchian clusterer with a locked shared union-find. */
@@ -154,7 +172,7 @@ class Rashtchian
                         }
                         sig_comparisons.fetch_add(1);
                         const std::int64_t d =
-                            scheme.distance(signatures[a], signatures[c]);
+                            distance(scheme, signatures[a], signatures[c]);
                         bool do_merge = false;
                         if (d <= theta_low) {
                             do_merge = true;
@@ -262,7 +280,7 @@ class Greedy
                 for (const std::uint32_t c : it->second) {
                     ++stats.signature_comparisons;
                     const std::int64_t d =
-                        scheme.distance(sig, clusters[c].signature);
+                        distance(scheme, sig, clusters[c].signature);
                     if (best_cluster < 0 || d < best_distance) {
                         best_distance = d;
                         best_cluster = c;
@@ -449,10 +467,25 @@ TEST_P(ClusteringDifferentialSerial, SignaturesMatchReference)
     const auto &[read_set, kind] = GetParam();
     Rng rng(read_set.seed + 1);
     const SignatureScheme scheme(kind, rng, kSignatureQ, kSignatureGrams);
-    for (const Strand &read : readSet(read_set))
-        ASSERT_EQ(scheme.compute(read).values,
-                  reference::compute(scheme, read).values)
-            << read;
+    const std::vector<Strand> reads = readSet(read_set);
+    SignatureTable table(scheme, reads.size());
+    for (std::size_t i = 0; i < reads.size(); ++i)
+        table.compute(i, reads[i]);
+    std::vector<reference::Signature> expected;
+    for (const Strand &read : reads)
+        expected.push_back(reference::compute(scheme, read));
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        // Per-probe values: mask bits (q-gram) or positions (w-gram).
+        reference::Signature values(scheme.dimensions());
+        for (std::size_t p = 0; p < values.size(); ++p)
+            values[p] = table.value(i, p);
+        ASSERT_EQ(values, expected[i]) << reads[i];
+        for (std::size_t j = i % 7; j < reads.size(); j += 7) {
+            ASSERT_EQ(table.distance(i, j),
+                      reference::distance(scheme, expected[i], expected[j]))
+                << i << " vs " << j;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for q-gram and w-gram read signatures.
+ * Tests for q-gram and w-gram read signatures and their table.
  */
 
 #include <gtest/gtest.h>
@@ -13,53 +13,100 @@ namespace dnastore
 namespace
 {
 
+/** Per-probe values of one read's signature. */
+std::vector<std::int32_t>
+values(const SignatureScheme &scheme, const std::string &read)
+{
+    SignatureTable table(scheme, 1);
+    table.compute(0, read);
+    std::vector<std::int32_t> out(scheme.dimensions());
+    for (std::size_t p = 0; p < out.size(); ++p)
+        out[p] = table.value(0, p);
+    return out;
+}
+
+/** Signature distance between two reads. */
+std::int64_t
+distance(const SignatureScheme &scheme, const std::string &a,
+         const std::string &b)
+{
+    SignatureTable table(scheme, 2);
+    table.compute(0, a);
+    table.compute(1, b);
+    return table.distance(0, 1);
+}
+
 TEST(SignatureScheme, QGramBitsMatchPresence)
 {
     SignatureScheme scheme(SignatureKind::QGram, {"AC", "GG", "TT"});
-    const auto sig = scheme.compute("ACGTAC");
-    ASSERT_EQ(sig.values.size(), 3u);
-    EXPECT_EQ(sig.values[0], 1);  // AC present
-    EXPECT_EQ(sig.values[1], 0);  // GG absent
-    EXPECT_EQ(sig.values[2], 0);  // TT absent
+    // AC present, GG and TT absent.
+    EXPECT_EQ(values(scheme, "ACGTAC"), (std::vector<std::int32_t>{1, 0, 0}));
 }
 
 TEST(SignatureScheme, WGramRecordsFirstPositions)
 {
     SignatureScheme scheme(SignatureKind::WGram, {"AC", "GT", "CC"});
-    const auto sig = scheme.compute("ACGTAC");
-    ASSERT_EQ(sig.values.size(), 3u);
-    EXPECT_EQ(sig.values[0], 0);
-    EXPECT_EQ(sig.values[1], 2);
-    EXPECT_EQ(sig.values[2], -1); // absent
+    EXPECT_EQ(values(scheme, "ACGTAC"),
+              (std::vector<std::int32_t>{0, 2, -1})); // CC absent
 }
 
 TEST(SignatureScheme, QGramDistanceIsHamming)
 {
     SignatureScheme scheme(SignatureKind::QGram, {"AA", "CC", "GG", "TT"});
-    const auto a = scheme.compute("AACC"); // {1,1,0,0}
-    const auto b = scheme.compute("AAGG"); // {1,0,1,0}
-    EXPECT_EQ(scheme.distance(a, b), 2);
-    EXPECT_EQ(scheme.distance(a, a), 0);
+    // {1,1,0,0} against {1,0,1,0}.
+    EXPECT_EQ(distance(scheme, "AACC", "AAGG"), 2);
+    EXPECT_EQ(distance(scheme, "AACC", "AACC"), 0);
 }
 
 TEST(SignatureScheme, WGramDistanceIsL1)
 {
     SignatureScheme scheme(SignatureKind::WGram, {"AC"});
-    const auto a = scheme.compute("ACGT");   // pos 0
-    const auto b = scheme.compute("GGACGT"); // pos 2
-    const auto c = scheme.compute("GGGG");   // absent (-1)
-    EXPECT_EQ(scheme.distance(a, b), 2);
-    EXPECT_EQ(scheme.distance(a, c), 1);
-    EXPECT_EQ(scheme.distance(c, c), 0);
+    // Positions 0, 2 and absent (-1).
+    EXPECT_EQ(distance(scheme, "ACGT", "GGACGT"), 2);
+    EXPECT_EQ(distance(scheme, "ACGT", "GGGG"), 1);
+    EXPECT_EQ(distance(scheme, "GGGG", "GGGG"), 0);
 }
 
-TEST(SignatureScheme, DimensionMismatchThrows)
+TEST(SignatureTable, RowsAreIndependentAndRecomputable)
 {
-    SignatureScheme s1(SignatureKind::QGram, {"AC"});
-    SignatureScheme s2(SignatureKind::QGram, {"AC", "GT"});
-    const auto a = s1.compute("ACGT");
-    const auto b = s2.compute("ACGT");
-    EXPECT_THROW(s1.distance(a, b), std::invalid_argument);
+    for (SignatureKind kind : {SignatureKind::QGram, SignatureKind::WGram}) {
+        SignatureScheme scheme(kind, {"AC", "GT"});
+        SignatureTable table(scheme, 3);
+        table.compute(0, "ACGT");
+        table.compute(2, "GTAC");
+        table.compute(1, "ACGT");
+        table.compute(1, "CCCC"); // overwrites the row
+        EXPECT_EQ(table.value(0, 0), kind == SignatureKind::QGram ? 1 : 0);
+        EXPECT_EQ(table.value(2, 0), kind == SignatureKind::QGram ? 1 : 2);
+        EXPECT_EQ(table.value(1, 0), kind == SignatureKind::QGram ? 0 : -1);
+        EXPECT_EQ(table.value(1, 1), kind == SignatureKind::QGram ? 0 : -1);
+    }
+}
+
+TEST(SignatureScheme, QGramProbeSetFitsOneMask)
+{
+    // Every 4-gram, in code order: more than a 64-bit mask can hold.
+    std::vector<std::string> grams;
+    for (std::size_t code = 0; code < 256; ++code) {
+        std::string gram;
+        for (std::size_t k = 4; k-- > 0;)
+            gram += "ACGT"[(code >> (2 * k)) & 3];
+        grams.push_back(gram);
+    }
+    const std::vector<std::string> fits(grams.begin(), grams.begin() + 64);
+    const std::vector<std::string> over(grams.begin(), grams.begin() + 65);
+    EXPECT_NO_THROW(SignatureScheme(SignatureKind::QGram, fits));
+    EXPECT_THROW(SignatureScheme(SignatureKind::QGram, over),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(SignatureScheme(SignatureKind::WGram, over));
+    Rng rng(4);
+    EXPECT_THROW(SignatureScheme(SignatureKind::QGram, rng, 4, 65),
+                 std::invalid_argument);
+
+    // The last probe owns the mask's top bit.
+    const SignatureScheme scheme(SignatureKind::QGram, fits);
+    EXPECT_EQ(distance(scheme, grams[63], grams[0]), 2);
+    EXPECT_EQ(values(scheme, grams[63]).back(), 1);
 }
 
 TEST(SignatureScheme, EmptyProbeSetThrows)
@@ -93,14 +140,14 @@ TEST(SignatureScheme, NonBaseBytesMatchNoProbe)
     // Lower case and N never equal an upper-case probe byte, so a gram
     // that spans one is absent; the grams either side still count.
     SignatureScheme wgram(SignatureKind::WGram, {"ACG", "CGT", "GTT", "TTA"});
-    EXPECT_EQ(wgram.compute("ACGtTACGT").values,
+    EXPECT_EQ(values(wgram, "ACGtTACGT"),
               (std::vector<std::int32_t>{0, 6, -1, -1}));
-    EXPECT_EQ(wgram.compute("ACNGTTA").values,
+    EXPECT_EQ(values(wgram, "ACNGTTA"),
               (std::vector<std::int32_t>{-1, -1, 3, 4}));
-    EXPECT_EQ(wgram.compute("acgtta").values,
+    EXPECT_EQ(values(wgram, "acgtta"),
               (std::vector<std::int32_t>{-1, -1, -1, -1}));
     SignatureScheme qgram(SignatureKind::QGram, {"ACG", "CGT", "GTT", "TTA"});
-    EXPECT_EQ(qgram.compute("ACNGTTA").values,
+    EXPECT_EQ(values(qgram, "ACNGTTA"),
               (std::vector<std::int32_t>{0, 0, 1, 1}));
 }
 
@@ -109,12 +156,10 @@ TEST(SignatureScheme, ReadsShorterThanQHaveNoGrams)
     SignatureScheme wgram(SignatureKind::WGram, {"ACGT", "CCCC"});
     SignatureScheme qgram(SignatureKind::QGram, {"ACGT", "CCCC"});
     for (const std::string read : {"", "A", "ACG"}) {
-        EXPECT_EQ(wgram.compute(read).values,
-                  (std::vector<std::int32_t>{-1, -1}));
-        EXPECT_EQ(qgram.compute(read).values,
-                  (std::vector<std::int32_t>{0, 0}));
+        EXPECT_EQ(values(wgram, read), (std::vector<std::int32_t>{-1, -1}));
+        EXPECT_EQ(values(qgram, read), (std::vector<std::int32_t>{0, 0}));
     }
-    EXPECT_EQ(wgram.compute("ACGT").values,
+    EXPECT_EQ(values(wgram, "ACGT"),
               (std::vector<std::int32_t>{0, -1}));
 }
 
@@ -142,11 +187,11 @@ TEST(SignatureScheme, SameClusterCloserThanDifferent)
         double intra = 0, inter = 0;
         const int trials = 60;
         for (int t = 0; t < trials; ++t) {
-            const auto a = scheme.compute(channel.transmit(s1, rng));
-            const auto b = scheme.compute(channel.transmit(s1, rng));
-            const auto c = scheme.compute(channel.transmit(s2, rng));
-            intra += static_cast<double>(scheme.distance(a, b));
-            inter += static_cast<double>(scheme.distance(a, c));
+            const Strand a = channel.transmit(s1, rng);
+            const Strand b = channel.transmit(s1, rng);
+            const Strand c = channel.transmit(s2, rng);
+            intra += static_cast<double>(distance(scheme, a, b));
+            inter += static_cast<double>(distance(scheme, a, c));
         }
         EXPECT_LT(intra * 2.5, inter)
             << "kind=" << signatureKindName(kind);
@@ -169,12 +214,12 @@ TEST(SignatureScheme, WGramSeparatesMoreThanQGram)
         double intra = 0, inter = 0;
         int n = 0;
         for (const auto &s : strands) {
-            const auto a = scheme.compute(channel.transmit(s, rng));
-            const auto b = scheme.compute(channel.transmit(s, rng));
-            const auto other = scheme.compute(
-                channel.transmit(strands[rng.below(strands.size())], rng));
-            intra += static_cast<double>(scheme.distance(a, b));
-            inter += static_cast<double>(scheme.distance(a, other));
+            const Strand a = channel.transmit(s, rng);
+            const Strand b = channel.transmit(s, rng);
+            const Strand other =
+                channel.transmit(strands[rng.below(strands.size())], rng);
+            intra += static_cast<double>(distance(scheme, a, b));
+            inter += static_cast<double>(distance(scheme, a, other));
             ++n;
         }
         return inter / std::max(intra, 1.0);

@@ -106,28 +106,49 @@ noisyReads(Rng &rng, std::size_t num_strands, std::size_t copies)
 
 TEST(TsanStress, RashtchianParallelSignaturePathMatchesSequential)
 {
+    // Drives every parallel pass of a round: the signature table, the
+    // pooled anchorKey lookups and the bucket merges that rewrite their
+    // own clusters' member lists, over many rounds and two calls per
+    // clusterer (the second continues the rng stream).
     Rng rng(4242);
     const auto reads = noisyReads(rng, 60, 8);
+    const std::vector<Strand> half(reads.begin(),
+                                   reads.begin() + reads.size() / 2);
 
-    RashtchianClustererConfig cfg;
-    cfg.rounds = 12;
-    cfg.num_threads = 1;
-    RashtchianClusterer sequential(cfg);
-    const Clustering expected = sequential.cluster(reads);
-    const RashtchianClusterer::Stats &want = sequential.stats();
+    for (const SignatureKind kind :
+         {SignatureKind::QGram, SignatureKind::WGram}) {
+        RashtchianClustererConfig cfg;
+        cfg.signature = kind;
+        cfg.rounds = 24;
+        cfg.num_threads = 1;
+        RashtchianClusterer sequential(cfg);
+        std::vector<Clustering> expected;
+        std::vector<RashtchianClusterer::Stats> want;
+        for (const auto *input : {&reads, &half}) {
+            expected.push_back(sequential.cluster(*input));
+            want.push_back(sequential.stats());
+        }
+        ASSERT_GT(want[0].merges, reads.size() / 2);
 
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-        cfg.num_threads = threads;
-        RashtchianClusterer parallel(cfg);
-        EXPECT_EQ(parallel.cluster(reads).clusters, expected.clusters)
-            << threads << " threads";
-        const RashtchianClusterer::Stats &got = parallel.stats();
-        EXPECT_EQ(got.signature_comparisons, want.signature_comparisons);
-        EXPECT_EQ(got.edit_distance_calls, want.edit_distance_calls);
-        EXPECT_EQ(got.merges, want.merges);
-        EXPECT_EQ(got.rounds_run, want.rounds_run);
-        EXPECT_EQ(got.theta_low, want.theta_low);
-        EXPECT_EQ(got.theta_high, want.theta_high);
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            cfg.num_threads = threads;
+            RashtchianClusterer parallel(cfg);
+            for (std::size_t call = 0; call < expected.size(); ++call) {
+                const Clustering got_clusters =
+                    parallel.cluster(call == 0 ? reads : half);
+                EXPECT_EQ(got_clusters.clusters, expected[call].clusters)
+                    << threads << " threads, call " << call;
+                const RashtchianClusterer::Stats &got = parallel.stats();
+                EXPECT_EQ(got.signature_comparisons,
+                          want[call].signature_comparisons);
+                EXPECT_EQ(got.edit_distance_calls,
+                          want[call].edit_distance_calls);
+                EXPECT_EQ(got.merges, want[call].merges);
+                EXPECT_EQ(got.rounds_run, want[call].rounds_run);
+                EXPECT_EQ(got.theta_low, want[call].theta_low);
+                EXPECT_EQ(got.theta_high, want[call].theta_high);
+            }
+        }
     }
 }
 

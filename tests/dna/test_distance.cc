@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "dna/distance.hh"
 #include "dna/strand.hh"
 #include "util/random.hh"
@@ -173,6 +177,90 @@ TEST(MyersLevenshtein, NearbyLongStrings)
     b.erase(300, 2);
     b.insert(400, "GT");
     EXPECT_EQ(myersLevenshtein(a, b), levenshtein(a, b));
+}
+
+/** Copy of s with about rate * |s| random edits drawn from alphabet. */
+std::string
+mutate(const std::string &s, double rate, const std::string &alphabet,
+       Rng &rng)
+{
+    std::string out;
+    for (const char c : s) {
+        const double r = rng.uniform();
+        const char other = alphabet[rng.below(alphabet.size())];
+        if (r < rate / 3)
+            continue; // deletion
+        if (r < 2 * rate / 3) {
+            out += other; // substitution
+            continue;
+        }
+        out += c;
+        if (r < rate)
+            out += other; // insertion
+    }
+    return out;
+}
+
+std::string
+randomOver(const std::string &alphabet, std::size_t len, Rng &rng)
+{
+    std::string s(len, ' ');
+    for (char &c : s)
+        c = alphabet[rng.below(alphabet.size())];
+    return s;
+}
+
+class EditKernelSweep : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(EditKernelSweep, WithinEditDistanceMatchesReferenceDp)
+{
+    // Around every 64-bit block boundary, over ACGT, bytes that are not
+    // bases, and more than four distinct symbols: every threshold from
+    // 0 to one past the shorter length must agree with the plain DP.
+    const std::size_t len = GetParam();
+    std::string every_byte(256, ' ');
+    for (std::size_t c = 0; c < every_byte.size(); ++c)
+        every_byte[c] = static_cast<char>(c);
+    const std::string alphabets[] = {"ACGT", "ACGTN-acgt", every_byte};
+    Rng rng(7100 + len);
+    for (const std::string &alphabet : alphabets) {
+        const std::string a = randomOver(alphabet, len, rng);
+        const std::string pairs[][2] = {
+            {a, mutate(a, 0.06, alphabet, rng)},
+            {a, mutate(a, 0.25, alphabet, rng)},
+            {a, randomOver(alphabet, len, rng)},
+            {a, randomOver(alphabet, len + 1 + rng.below(9), rng)},
+            {a, a},
+        };
+        for (const auto &[x, y] : pairs) {
+            const std::size_t exact = levenshtein(x, y);
+            ASSERT_EQ(myersLevenshtein(x, y), exact);
+            const std::size_t m = std::min(x.size(), y.size());
+            for (std::size_t k = 0; k <= m + 1; ++k) {
+                ASSERT_EQ(withinEditDistance(x, y, k), exact <= k)
+                    << "len " << len << " k " << k << " exact " << exact;
+                ASSERT_EQ(withinEditDistance(y, x, k), exact <= k);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockBoundaries, EditKernelSweep,
+                         ::testing::Values(1, 2, 63, 64, 65, 127, 128, 129,
+                                           255, 256, 257));
+
+TEST(WithinEditDistance, EmptyAndHugeThresholds)
+{
+    EXPECT_TRUE(withinEditDistance("", "", 0));
+    EXPECT_FALSE(withinEditDistance("", "ACGTACGTACGT", 11));
+    EXPECT_TRUE(withinEditDistance("", "ACGTACGTACGT", 12));
+    const std::string s(300, 'A');
+    const std::string t(300, 'T');
+    EXPECT_TRUE(withinEditDistance(s, t, SIZE_MAX));
+    EXPECT_FALSE(withinEditDistance(s, t, 299));
+    EXPECT_TRUE(withinEditDistance(s, t, 300));
 }
 
 TEST(BoundedLevenshtein, LengthGapShortCircuits)
