@@ -457,8 +457,7 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
     };
 
     try {
-        forEachIndex(poolFor(num_threads, num_shards).get(), num_shards,
-                     encodeShard);
+        parallelFor(num_threads, num_shards, encodeShard);
     } catch (const std::exception &e) {
         result.status = ArchiveStatus::EncodeFailed;
         result.error = std::string("shard encode batch failed: ") + e.what();
@@ -653,8 +652,7 @@ Archive::getMany(const std::vector<std::string> &names,
                         results[item.object].shards[item.shard]);
     };
     try {
-        forEachIndex(poolFor(config.num_threads, work.size()).get(),
-                     work.size(), decode_one);
+        parallelFor(config.num_threads, work.size(), decode_one);
     } catch (const std::exception &e) {
         for (std::size_t i = 0; i < names.size(); ++i) {
             if (objects[i] == nullptr)

@@ -15,7 +15,7 @@
  * Large objects are sharded into bounded-size sub-pools; every shard is
  * an independent codec run under its own primer pair, so shards decode
  * in isolation (a corrupted shard cannot poison its neighbours) and
- * batch across the ThreadPool.  The manifest itself is additionally
+ * decode side by side in one parallelFor.  The manifest itself is additionally
  * encoded into the pool under the reserved pair id 0, keeping the
  * archive self-describing in DNA.
  *
@@ -150,7 +150,9 @@ struct RetrievalConfig
     double pcr_off_target = 0.0;  //!< Contamination rate of PCR selection.
     std::size_t primer_max_edit = 5; //!< Primer-trim edit tolerance.
     std::uint64_t seed = 0xa5c1ULL; //!< Simulation seed (per-shard mixed).
-    std::size_t num_threads = 1;  //!< Shard-decode batch parallelism.
+    /** Shard-decode width of a get (a parallelFor width: 0 = the
+     *  shared pool's size). */
+    std::size_t num_threads = 1;
     std::size_t min_cluster_size = 2;
     std::size_t max_decode_retries = 1; //!< PR-1 recovery budget per shard.
 
@@ -221,10 +223,10 @@ class Archive
 
     /**
      * Store @p data under @p name: shard, encode every shard as its own
-     * codec run (batched over a ThreadPool when num_threads > 1 and
-     * there are several shards), tag
-     * each shard's strands with a fresh primer pair and merge them into
-     * the pool.  Persists manifest + pool before returning Ok.
+     * codec run (a parallelFor of width num_threads over the shards; 0
+     * = the shared pool's size), tag each shard's strands with a fresh
+     * primer pair and merge them into the pool.  Persists manifest +
+     * pool before returning Ok.
      */
     PutResult put(const std::string &name,
                   const std::vector<std::uint8_t> &data,
@@ -234,7 +236,7 @@ class Archive
      * Retrieve @p name: getMany({name}, config)[0].  Each shard's primer
      * pair is PCR-selected out of the mixed pool, sequenced through the
      * configured channel, preprocessed (orientation + primer trim) and
-     * decoded independently, in parallel when config.num_threads > 1
+     * decoded independently, in parallel when config.num_threads != 1
      * and the object has several shards.  On success data is byte-exact
      * (object CRC verified); on failure the per-shard outcomes pin
      * down exactly which shards and stages degraded.
@@ -244,9 +246,9 @@ class Archive
 
     /**
      * Retrieve several objects in ONE batched shard-decode pass: all
-     * shards of all requested objects flatten into a single ThreadPool
-     * batch, so a multi-object read amortises pool scans and keeps the
-     * workers saturated even when individual objects have few shards
+     * shards of all requested objects flatten into one parallelFor of
+     * width config.num_threads, so a multi-object read amortises pool
+     * scans and keeps the threads busy even when objects have few shards
      * (the `dnastored` scheduler's batching hook).  Results align with
      * @p names index-for-index; per-object failures are independent.
      */

@@ -161,9 +161,7 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     WallTimer sig_timer;
     obs::Span sig_span("clustering/signature_pass");
     SignatureTable signatures(scheme, reads.size());
-    const std::unique_ptr<ThreadPool> pool =
-        poolFor(cfg.num_threads, reads.size());
-    forEachIndex(pool.get(), reads.size(), [&](std::size_t i) {
+    parallelFor(cfg.num_threads, reads.size(), [&](std::size_t i) {
         signatures.compute(i, reads[i]);
     });
     sig_span.end();
@@ -262,7 +260,7 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
             drawn[k] = {nullptr, members[rng.below(members.size())],
                         static_cast<std::uint32_t>(k)};
         }
-        forEachIndex(pool.get(), drawn.size(), [&](std::size_t k) {
+        parallelFor(cfg.num_threads, drawn.size(), [&](std::size_t k) {
             if (const auto key =
                     anchorKey(reads[drawn[k].rep], anchor, cfg.key_len))
                 drawn[k].key = key->data();
@@ -290,7 +288,7 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
         }
 
         std::vector<BucketResult> results(buckets.size());
-        forEachIndex(pool.get(), buckets.size(), [&](std::size_t b) {
+        parallelFor(cfg.num_threads, buckets.size(), [&](std::size_t b) {
             merge_bucket(buckets[b], results[b]);
         });
         for (const BucketResult &bucket : results) {

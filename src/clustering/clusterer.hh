@@ -73,7 +73,8 @@ struct RashtchianClustererConfig
     std::int64_t theta_high = -1;
     /** Edit-distance ceiling for gray-zone merges. */
     std::size_t edit_threshold = 25;
-    std::size_t num_threads = 1;   //!< Worker threads (1 = sequential).
+    /** parallelFor width (1 = sequential, 0 = the shared pool's size). */
+    std::size_t num_threads = 1;
     std::uint64_t seed = 0xc105e2ULL; //!< RNG seed (anchors, sampling).
     AutoThresholdConfig auto_threshold{};
 

@@ -83,29 +83,6 @@ PrimerLibrary::pairFor(std::size_t file_slot) const
     return {primers[2 * file_slot], primers[2 * file_slot + 1]};
 }
 
-std::optional<PrimerLibrary::Match>
-PrimerLibrary::matchPrefix(const std::string &read, std::size_t max_edit) const
-{
-    std::optional<Match> best;
-    for (std::size_t id = 0; id < primers.size(); ++id) {
-        const Strand &primer = primers[id];
-        if (read.size() < primer.size())
-            continue;
-        const std::string prefix = read.substr(0, primer.size());
-
-        const std::size_t d_fwd =
-            boundedLevenshtein(prefix, primer, max_edit);
-        if (d_fwd <= max_edit && (!best || d_fwd < best->distance))
-            best = Match{id, false, d_fwd};
-
-        const std::size_t d_rc = boundedLevenshtein(
-            prefix, strand::reverseComplement(primer), max_edit);
-        if (d_rc <= max_edit && (!best || d_rc < best->distance))
-            best = Match{id, true, d_rc};
-    }
-    return best;
-}
-
 Strand
 attachPrimers(const PrimerPair &pair, const Strand &payload)
 {

@@ -67,21 +67,6 @@ class PrimerLibrary
     /** Number of complete pairs available. */
     std::size_t numPairs() const { return primers.size() / 2; }
 
-    /**
-     * Identify which library primer best matches the first
-     * prefix-length characters of a read, allowing up to max_edit edit
-     * distance.  Returns the primer id and whether the match was against
-     * the primer's reverse complement (read is 3'->5' oriented).
-     */
-    struct Match
-    {
-        std::size_t primer_id;
-        bool reverse_complement;
-        std::size_t distance;
-    };
-    std::optional<Match>
-    matchPrefix(const std::string &read, std::size_t max_edit) const;
-
   private:
     std::vector<Strand> primers;
 };

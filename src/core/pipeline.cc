@@ -204,18 +204,17 @@ reconstructSalvaging(const Reconstructor &algo,
 {
     std::vector<std::optional<Strand>> outcome(selection.size());
     std::vector<std::string> failure(selection.size());
-    forEachIndex(poolFor(num_threads, selection.size()).get(),
-                 selection.size(), [&](std::size_t i) {
-                     obs::Span cluster_span("reconstruction/cluster");
-                     try {
-                         outcome[i] = algo.reconstruct(groups[selection[i]],
-                                                       strand_length);
-                     } catch (const std::exception &error) {
-                         failure[i] = error.what();
-                     } catch (...) {
-                         failure[i] = "unknown exception";
-                     }
-                 });
+    parallelFor(num_threads, selection.size(), [&](std::size_t i) {
+        obs::Span cluster_span("reconstruction/cluster");
+        try {
+            outcome[i] = algo.reconstruct(groups[selection[i]],
+                                          strand_length);
+        } catch (const std::exception &error) {
+            failure[i] = error.what();
+        } catch (...) {
+            failure[i] = "unknown exception";
+        }
+    });
 
     std::vector<Strand> consensus;
     std::vector<std::size_t> kept;

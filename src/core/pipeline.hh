@@ -100,9 +100,10 @@ struct PipelineResult
     StageLatency latency;
     /**
      * Per-stage thread-CPU time (CLOCK_THREAD_CPUTIME_ID) of the thread
-     * driving the stage.  cpu/wall is the stage's utilization: near 1.0
-     * means compute-bound on the driving thread, near 0.0 means the
-     * thread mostly waited — worker CPU shows up in the
+     * driving the stage, including the parallelFor chunks it runs
+     * itself.  cpu/wall is the stage's utilization: near 1.0 means the
+     * driving thread computed the whole time, near 0.0 means it mostly
+     * waited.  CPU of the chunks that pool helpers ran shows up in the
      * `util.thread_pool.task_cpu_seconds` histogram instead.
      */
     StageLatency cpu;
@@ -173,7 +174,8 @@ struct PipelineModules
 struct PipelineConfig
 {
     CoverageModel coverage{10.0};
-    std::size_t num_threads = 1; //!< Reconstruction parallelism.
+    /** Reconstruction parallelFor width (0 = the shared pool's size). */
+    std::size_t num_threads = 1;
     std::uint64_t seed = 0x91e1157ULL; //!< Simulation RNG seed.
     /** Clusters smaller than this are discarded before reconstruction. */
     std::size_t min_cluster_size = 1;

@@ -153,8 +153,16 @@ MetricsRegistry::resetAll()
 MetricsRegistry &
 metrics()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed: the shared pool's workers outlive static
+    // destruction and publish into it after every task.
+    union Immortal
+    {
+        Immortal() : registry() {}
+        ~Immortal() {}
+        MetricsRegistry registry;
+    };
+    static Immortal immortal;
+    return immortal.registry;
 }
 
 double

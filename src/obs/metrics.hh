@@ -215,8 +215,9 @@ class MetricsRegistry
 
 /**
  * The process-wide registry every built-in module publishes into.
- * Always exists; snapshotting around a region of interest and taking
- * delta() isolates one run's metrics from the process totals.
+ * Always exists, also during static destruction; snapshotting around
+ * a region of interest and taking delta() isolates one run's metrics
+ * from the process totals.
  */
 MetricsRegistry &metrics();
 

@@ -4,26 +4,10 @@
 #include <array>
 
 #include "dna/base.hh"
-#include "obs/metrics.hh"
 #include "util/hot.hh"
 
 namespace dnastore
 {
-
-namespace
-{
-
-/** Share of polish votes cast against the winning base, per position. */
-obs::FixedHistogram &
-disagreementHistogram()
-{
-    static obs::FixedHistogram &hist = obs::metrics().histogram(
-        "reconstruction.consensus_disagreement_percent",
-        obs::percentBuckets());
-    return hist;
-}
-
-} // namespace
 
 DNASTORE_HOT Strand
 NwConsensusReconstructor::reconstruct(const std::vector<Strand> &reads,
@@ -60,55 +44,6 @@ NwConsensusReconstructor::reconstruct(const std::vector<Strand> &reads,
         return Strand(expected_length, 'A');
 
     Strand consensus = msa.consensus(expected_length);
-
-    // Polish: re-align every used read against the draft consensus and
-    // re-vote per consensus position.  The draft's own base casts one
-    // tie-breaking vote so sparse coverage cannot erase it.
-    for (std::size_t pass = 0;
-         pass < cfg.refine_passes && !consensus.empty(); ++pass) {
-        std::vector<std::array<std::uint32_t, 4>> votes(
-            consensus.size(), std::array<std::uint32_t, 4>{});
-        for (std::size_t i = 0; i < use; ++i) {
-            const Strand &read = reads[order[i]];
-            if (read.empty())
-                continue;
-            const auto ops = classifyEdits(consensus, read, cfg.scores);
-            for (const EditOp &op : ops) {
-                if (op.kind != EditKind::Match &&
-                    op.kind != EditKind::Substitution) {
-                    continue;
-                }
-                const std::uint8_t code = charToCode(op.read_char);
-                if (code != 0xff && op.ref_pos < votes.size())
-                    ++votes[op.ref_pos][code];
-            }
-        }
-        Strand polished = consensus;
-        for (std::size_t pos = 0; pos < consensus.size(); ++pos) {
-            const std::uint8_t current = charToCode(consensus[pos]);
-            std::uint8_t best = current;
-            std::uint32_t best_votes =
-                current == 0xff ? 0 : votes[pos][current] + 1;
-            std::uint32_t total_votes = current == 0xff ? 0 : 1;
-            for (std::uint8_t b = 0; b < 4; ++b) {
-                total_votes += votes[pos][b];
-                if (votes[pos][b] > best_votes) {
-                    best_votes = votes[pos][b];
-                    best = b;
-                }
-            }
-            if (pass == 0 && total_votes > 0) {
-                disagreementHistogram().observe(
-                    100.0 * static_cast<double>(total_votes - best_votes) /
-                    static_cast<double>(total_votes));
-            }
-            if (best != 0xff)
-                polished[pos] = baseToChar(best);
-        }
-        if (polished == consensus)
-            break;
-        consensus = std::move(polished);
-    }
 
     // The MSA can come up short when coverage is thin; pad with the
     // overall majority base so the decoder sees a full-length strand.

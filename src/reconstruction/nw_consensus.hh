@@ -27,12 +27,6 @@ struct NwConsensusConfig
      * fast (cf. Table III, where NWA wins at coverage 50).
      */
     std::size_t max_reads = 32;
-    /**
-     * Polishing passes: each pass re-aligns every read against the
-     * current consensus and re-votes per consensus position, washing
-     * out the order-dependence of the incremental profile build.
-     */
-    std::size_t refine_passes = 0;
 };
 
 /** Profile-MSA Needleman-Wunsch consensus. */

@@ -17,11 +17,10 @@ reconstructAll(const Reconstructor &algo,
     std::uint64_t reads_seen = 0;
     for (const auto &cluster : clusters)
         reads_seen += cluster.size();
-    forEachIndex(poolFor(num_threads, clusters.size()).get(), clusters.size(),
-                 [&](std::size_t i) {
-                     obs::Span span("reconstruction/cluster");
-                     out[i] = algo.reconstruct(clusters[i], expected_length);
-                 });
+    parallelFor(num_threads, clusters.size(), [&](std::size_t i) {
+        obs::Span span("reconstruction/cluster");
+        out[i] = algo.reconstruct(clusters[i], expected_length);
+    });
     obs::metrics()
         .counter("reconstruction.clusters_total")
         .add(clusters.size());

@@ -41,7 +41,8 @@ class Reconstructor
  * @param clusters        Read groups (e.g. Clustering::clusters
  *                        resolved to actual reads).
  * @param expected_length Encoded strand length.
- * @param num_threads     1 = sequential.
+ * @param num_threads     parallelFor width: 1 = sequential, 0 = the
+ *                        shared pool's size.
  */
 std::vector<Strand>
 reconstructAll(const Reconstructor &algo,

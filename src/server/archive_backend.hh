@@ -38,14 +38,15 @@ class ArchiveBackend final : public Backend
     /**
      * @param archive open archive, owned by the caller, outlives this.
      * @param config retrieval knobs applied to every fetch.
-     * @param put_threads shard-encode parallelism of storeObject().
+     * @param put_threads shard-encode width of storeObject() (a
+     *                    parallelFor width: 0 = the shared pool's size).
      */
     ArchiveBackend(archive::Archive &archive,
                    const archive::RetrievalConfig &config,
                    std::size_t put_threads)
         : archive_(archive)
         , config_(config)
-        , put_threads_(put_threads == 0 ? 1 : put_threads)
+        , put_threads_(put_threads)
     {
     }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * The dnastored request scheduler (docs/SERVER.md): admission control,
- * get-coalescing and pool batching over the shared ThreadPool.
+ * get-coalescing and pool batching over the scheduler's own ThreadPool
+ * (not the process-wide one behind parallelFor: drain joins it).
  *
  * Decode is seconds-per-object (clustering + consensus dominate), so
  * the scheduler's job is to do strictly less decode work than the

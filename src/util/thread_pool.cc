@@ -1,12 +1,14 @@
 #include "util/thread_pool.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "obs/cpu_time.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "util/assert.hh"
 
 namespace dnastore
 {
@@ -56,6 +58,93 @@ poolMetrics()
     return handles;
 }
 
+/**
+ * One parallelFor call's chunks, shared by its caller and its helper
+ * tasks.  A helper may start after the caller has returned, so the
+ * state is reference-counted; fn is touched only while running a
+ * claimed chunk, which the caller waits for.
+ */
+struct Loop
+{
+    Loop(const std::function<void(std::size_t)> &body, std::size_t items,
+         std::size_t parts)
+        : fn(body), n(items), chunks(parts), errors(parts)
+    {
+    }
+
+    const std::function<void(std::size_t)> &fn;
+    const std::size_t n;
+    const std::size_t chunks;
+    Mutex mutex{"util.parallel_for"};
+    CondVar all_finished;
+    std::size_t next DNASTORE_GUARDED_BY(mutex) = 0;
+    std::size_t finished DNASTORE_GUARDED_BY(mutex) = 0;
+    /** Per chunk: the exception that stopped it, if any. */
+    std::vector<std::exception_ptr> errors DNASTORE_GUARDED_BY(mutex);
+};
+
+/** Claim and run chunks in order until none is left unclaimed. */
+void
+runChunks(Loop &loop)
+{
+    for (;;) {
+        std::size_t chunk = 0;
+        {
+            MutexLock lock(loop.mutex);
+            if (loop.next == loop.chunks)
+                return;
+            chunk = loop.next++;
+        }
+        std::exception_ptr error;
+        try {
+            const std::size_t end = (chunk + 1) * loop.n / loop.chunks;
+            for (std::size_t i = chunk * loop.n / loop.chunks; i < end; ++i)
+                loop.fn(i);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        bool last = false;
+        {
+            MutexLock lock(loop.mutex);
+            loop.errors[chunk] = std::move(error);
+            last = ++loop.finished == loop.chunks;
+        }
+        if (last)
+            loop.all_finished.notifyAll();
+    }
+}
+
+/** The process-wide pool, tagged with the process that started it. */
+struct SharedPool
+{
+    explicit SharedPool(pid_t owner) : pid(owner) {}
+
+    const pid_t pid;
+    ThreadPool pool{0};
+};
+
+std::atomic<SharedPool *> shared_pool{nullptr};
+
+ThreadPool &
+sharedPool()
+{
+    // A forked child inherits its parent's pointer, but not the workers
+    // behind it, and the pool's mutex may have been held at the fork:
+    // the child starts its own pool and leaves the parent's untouched.
+    // The pointer is an atomic rather than mutex-guarded for the same
+    // reason.  Threads racing to start a pool keep the first; the
+    // others' pools are joined and dropped.
+    const pid_t self = ::getpid();
+    SharedPool *current = shared_pool.load(std::memory_order_acquire);
+    while (current == nullptr || current->pid != self) {
+        auto fresh = std::make_unique<SharedPool>(self);
+        if (shared_pool.compare_exchange_strong(current, fresh.get(),
+                                                std::memory_order_acq_rel))
+            return fresh.release()->pool;
+    }
+    return current->pool;
+}
+
 } // namespace
 
 ParallelError::ParallelError(std::vector<std::string> messages,
@@ -72,6 +161,12 @@ ThreadPool::ThreadPool(std::size_t num_threads)
         num_threads = std::max<std::size_t>(
             1, std::thread::hardware_concurrency());
     }
+    // Initialise the function-local statics the workers use here, on
+    // the constructing thread: a fork while a late-starting worker held
+    // one's initialisation lock would leave it held in the child, whose
+    // own pool's workers would then block on it forever.
+    poolMetrics();
+    obs::traceNowMicros();
     workers.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i)
         workers.emplace_back([this] { workerLoop(); });
@@ -143,71 +238,55 @@ ThreadPool::workerLoop()
 }
 
 void
-ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                        const std::function<void(std::size_t)> &fn)
+parallelFor(std::size_t width, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
 {
-    if (begin >= end)
+    if (width == 0)
+        width = sharedPool().size();
+    const std::size_t threads = std::min(width, n);
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
         return;
-    const std::size_t total = end - begin;
-    // Over-decompose a little so uneven work balances out.
-    const std::size_t chunks = std::min(total, size() * 4);
-    const std::size_t chunk_size = (total + chunks - 1) / chunks;
-
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t lo = begin; lo < end; lo += chunk_size) {
-        const std::size_t hi = std::min(end, lo + chunk_size);
-        futures.push_back(submit([lo, hi, &fn] {
-            for (std::size_t i = lo; i < hi; ++i)
-                fn(i);
-        }));
     }
-    DNASTORE_ASSERT(futures.size() <= chunks,
-                    "chunk decomposition must not exceed its plan");
+    // Over-decompose a little so uneven work balances out.
+    const std::size_t chunks = std::min(n, width * 4);
+    const auto loop = std::make_shared<Loop>(fn, n, chunks);
+    ThreadPool &pool = sharedPool();
+    for (std::size_t helper = 1; helper < threads; ++helper)
+        (void)pool.submit([loop] { runChunks(*loop); });
+    Loop &state = *loop;
+    runChunks(state);
 
-    // Drain every future so no worker exception vanishes.  A single
-    // failure rethrows its original exception (type preserved); multiple
-    // failures are aggregated into one ParallelError.
+    std::vector<std::exception_ptr> errors;
+    {
+        MutexLock lock(state.mutex);
+        while (state.finished < state.chunks)
+            state.all_finished.wait(state.mutex);
+        errors = std::move(state.errors);
+    }
+
+    // A single failure rethrows its original exception (type
+    // preserved); several are aggregated into one ParallelError.
     std::exception_ptr first;
     std::vector<std::string> messages;
-    for (auto &future : futures) {
+    for (const std::exception_ptr &error : errors) {
+        if (!error)
+            continue;
+        if (!first)
+            first = error;
         try {
-            future.get();
-        } catch (const std::exception &error) {
-            if (!first)
-                first = std::current_exception();
-            messages.emplace_back(error.what());
+            std::rethrow_exception(error);
+        } catch (const std::exception &e) {
+            messages.emplace_back(e.what());
         } catch (...) {
-            if (!first)
-                first = std::current_exception();
             messages.emplace_back("unknown exception");
         }
     }
     if (messages.size() == 1)
         std::rethrow_exception(first);
     if (!messages.empty())
-        throw ParallelError(std::move(messages), futures.size());
-}
-
-std::unique_ptr<ThreadPool>
-poolFor(std::size_t num_threads, std::size_t n)
-{
-    const std::size_t workers = std::min(num_threads, n);
-    if (workers <= 1)
-        return nullptr;
-    return std::make_unique<ThreadPool>(workers);
-}
-
-void
-forEachIndex(ThreadPool *pool, std::size_t n,
-             const std::function<void(std::size_t)> &fn)
-{
-    if (pool != nullptr) {
-        pool->parallelFor(0, n, fn);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        fn(i);
+        throw ParallelError(std::move(messages), chunks);
 }
 
 } // namespace dnastore

@@ -1,10 +1,8 @@
 /**
  * @file
- * A small fixed-size thread pool used by the clustering and reconstruction
- * modules.  Tasks are arbitrary callables; parallelFor provides chunked
- * data-parallel loops with exception propagation.  poolFor and
- * forEachIndex own the one choice every loop site makes: run inline or
- * fan out to a pool.
+ * A small fixed-size thread pool, and parallelFor: the one data-parallel
+ * loop of the toolkit, run on the caller plus helpers from a single
+ * pool per process.
  */
 
 #pragma once
@@ -105,17 +103,6 @@ class ThreadPool
         return future;
     }
 
-    /**
-     * Run fn(i) for every i in [begin, end), distributing contiguous chunks
-     * (at most four per worker) over the pool.  Blocks until all
-     * iterations finish.  A chunk stops at its first throwing iteration.
-     * If exactly one chunk throws, that exception is rethrown unchanged;
-     * if several throw, a ParallelError aggregating every failure is
-     * thrown instead.
-     */
-    void parallelFor(std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t)> &fn);
-
   private:
     /**
      * A queued task plus the attribution the worker needs: when it was
@@ -139,20 +126,25 @@ class ThreadPool
 };
 
 /**
- * The pool a loop over @p n items fans out to: null when
- * min(num_threads, n) <= 1, so the loop runs inline; otherwise a fresh
- * pool of min(num_threads, n) workers.
+ * Run fn(i) for every i in [0, n) on at most @p width threads; width 0
+ * means the size of the process-wide pool (hardware_concurrency()
+ * workers, started on first use and never destroyed).
+ *
+ * When min(width, n) <= 1 the loop runs on the caller in index order,
+ * and the first exception propagates unchanged.  Otherwise [0, n)
+ * splits into min(n, 4 * width) contiguous chunks, which the caller and
+ * min(width, n) - 1 helper tasks on the shared pool claim in order; the
+ * caller returns once every chunk has finished.  A chunk stops at its
+ * first throwing iteration.  If exactly one chunk throws, that
+ * exception is rethrown unchanged; if several throw, a ParallelError
+ * aggregating every failure is thrown instead.
+ *
+ * The caller always works and waits only on chunks already claimed, so
+ * a parallelFor nested inside another's body (or inside any pool task)
+ * cannot deadlock.  A forked child starts its own pool.
  */
-std::unique_ptr<ThreadPool> poolFor(std::size_t num_threads, std::size_t n);
-
-/**
- * Run fn(i) for every i in [0, n): on @p pool when it is non-null
- * (ThreadPool::parallelFor semantics), else inline on the calling
- * thread in index order, where the first exception propagates as is.
- * Typical call: forEachIndex(poolFor(num_threads, n).get(), n, fn).
- */
-void forEachIndex(ThreadPool *pool, std::size_t n,
-                  const std::function<void(std::size_t)> &fn);
+void parallelFor(std::size_t width, std::size_t n,
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace dnastore
 

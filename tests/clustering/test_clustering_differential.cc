@@ -108,9 +108,7 @@ class Rashtchian
 
         const SignatureScheme scheme(cfg.signature, rng, 4, 60);
         std::vector<Signature> signatures(reads.size());
-        const std::unique_ptr<ThreadPool> pool =
-            poolFor(cfg.num_threads, reads.size());
-        forEachIndex(pool.get(), reads.size(), [&](std::size_t i) {
+        parallelFor(cfg.num_threads, reads.size(), [&](std::size_t i) {
             signatures[i] = compute(scheme, reads[i]);
         });
 
@@ -159,7 +157,7 @@ class Rashtchian
                     buckets.push_back(std::move(members));
             }
 
-            forEachIndex(pool.get(), buckets.size(), [&](std::size_t b) {
+            parallelFor(cfg.num_threads, buckets.size(), [&](std::size_t b) {
                 const auto &members = buckets[b];
                 for (std::size_t i = 0; i < members.size(); ++i) {
                     for (std::size_t j = i + 1; j < members.size(); ++j) {

@@ -122,51 +122,6 @@ TEST(PrimerLibrary, ConstructorRejectsInvalidPrimers)
     EXPECT_THROW(PrimerLibrary({""}), std::invalid_argument);
 }
 
-TEST(PrimerLibrary, MatchPrefixIdentifiesPrimerAndOrientation)
-{
-    Rng rng(3);
-    const auto lib = PrimerLibrary::design(rng, 4);
-    const Strand payload = strand::random(rng, 60);
-
-    // Forward orientation: read starts with primer 2.
-    const Strand fwd_read = lib.primer(2) + payload;
-    const auto fwd = lib.matchPrefix(fwd_read, 3);
-    ASSERT_TRUE(fwd.has_value());
-    EXPECT_EQ(fwd->primer_id, 2u);
-    EXPECT_FALSE(fwd->reverse_complement);
-
-    // Reverse orientation: read starts with revcomp(primer 3).
-    const Strand rc_read =
-        strand::reverseComplement(lib.primer(3)) + payload;
-    const auto rc = lib.matchPrefix(rc_read, 3);
-    ASSERT_TRUE(rc.has_value());
-    EXPECT_EQ(rc->primer_id, 3u);
-    EXPECT_TRUE(rc->reverse_complement);
-}
-
-TEST(PrimerLibrary, MatchPrefixToleratesErrors)
-{
-    Rng rng(4);
-    const auto lib = PrimerLibrary::design(rng, 2);
-    Strand read = lib.primer(0) + strand::random(rng, 40);
-    read[5] = read[5] == 'A' ? 'C' : 'A'; // one substitution in primer
-    read.erase(10, 1);                    // one deletion in primer
-    const auto match = lib.matchPrefix(read, 4);
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(match->primer_id, 0u);
-    EXPECT_LE(match->distance, 4u);
-}
-
-TEST(PrimerLibrary, MatchPrefixRejectsGarbage)
-{
-    Rng rng(5);
-    const auto lib = PrimerLibrary::design(rng, 2);
-    // A random read is unlikely to be within edit distance 2 of a
-    // designed primer.
-    const auto match = lib.matchPrefix(strand::random(rng, 60), 2);
-    EXPECT_FALSE(match.has_value());
-}
-
 TEST(Primers, AttachComposesLayout)
 {
     const PrimerPair pair{"AAAACCCC", "GGGGTTTT"};

@@ -4,7 +4,7 @@
  * purpose is a ThreadSanitizer-instrumented build
  * (-DDNASTORE_SANITIZE=thread), where they drive the three concurrent
  * surfaces of the toolkit hard enough for TSan to observe every
- * happens-before edge: ThreadPool::parallelFor/submit, the
+ * happens-before edge: parallelFor and ThreadPool::submit, the
  * Rashtchian clusterer's parallel signature + bucket-merge path, and
  * multiple Pipeline::run instances sharing const modules.
  */
@@ -35,12 +35,11 @@ namespace
 
 TEST(TsanStress, ParallelForAccumulates)
 {
-    ThreadPool pool(4);
     constexpr std::size_t kItems = 200000;
     constexpr int kRounds = 5;
     for (int round = 0; round < kRounds; ++round) {
         std::atomic<std::uint64_t> sum{0};
-        pool.parallelFor(0, kItems, [&](std::size_t i) {
+        parallelFor(4, kItems, [&](std::size_t i) {
             sum.fetch_add(i, std::memory_order_relaxed);
         });
         EXPECT_EQ(sum.load(),
@@ -50,9 +49,8 @@ TEST(TsanStress, ParallelForAccumulates)
 
 TEST(TsanStress, ParallelForWritesDisjointSlots)
 {
-    ThreadPool pool(4);
     std::vector<std::uint32_t> out(50000, 0);
-    pool.parallelFor(0, out.size(), [&](std::size_t i) {
+    parallelFor(4, out.size(), [&](std::size_t i) {
         out[i] = static_cast<std::uint32_t>(i * 2654435761u);
     });
     for (std::size_t i = 0; i < out.size(); i += 4999)

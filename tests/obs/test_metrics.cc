@@ -12,7 +12,6 @@
 namespace
 {
 
-using dnastore::ThreadPool;
 using dnastore::obs::Counter;
 using dnastore::obs::FixedHistogram;
 using dnastore::obs::Gauge;
@@ -38,8 +37,7 @@ TEST(MetricsRegistry, CounterIsAtomicUnderParallelFor)
     MetricsRegistry reg;
     Counter &hits = reg.counter("hits");
     constexpr std::size_t kIterations = 20000;
-    ThreadPool pool(4);
-    pool.parallelFor(0, kIterations, [&](std::size_t) { hits.add(); });
+    dnastore::parallelFor(4, kIterations, [&](std::size_t) { hits.add(); });
     EXPECT_EQ(hits.value(), kIterations);
 }
 
@@ -48,8 +46,7 @@ TEST(MetricsRegistry, HistogramIsAtomicUnderParallelFor)
     MetricsRegistry reg;
     FixedHistogram &hist = reg.histogram("lat", {1.0, 2.0, 3.0});
     constexpr std::size_t kIterations = 12000;
-    ThreadPool pool(4);
-    pool.parallelFor(0, kIterations, [&](std::size_t i) {
+    dnastore::parallelFor(4, kIterations, [&](std::size_t i) {
         hist.observe(static_cast<double>(i % 4) + 0.5);
     });
     EXPECT_EQ(hist.totalCount(), kIterations);

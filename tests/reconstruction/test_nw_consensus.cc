@@ -112,28 +112,6 @@ TEST(NwConsensus, ReadCapKeepsQuality)
     EXPECT_GT(perfect, 90u);
 }
 
-TEST(NwConsensus, RefinePassesDoNotHurt)
-{
-    Rng rng(7);
-    IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.09));
-    NwConsensusConfig plain_cfg;
-    plain_cfg.refine_passes = 0;
-    NwConsensusConfig refined_cfg;
-    refined_cfg.refine_passes = 2;
-    NwConsensusReconstructor plain(plain_cfg);
-    NwConsensusReconstructor refined(refined_cfg);
-    std::size_t plain_perfect = 0, refined_perfect = 0;
-    for (int t = 0; t < 120; ++t) {
-        const Strand s = strand::random(rng, 100);
-        std::vector<Strand> reads;
-        for (int c = 0; c < 8; ++c)
-            reads.push_back(channel.transmit(s, rng));
-        plain_perfect += plain.reconstruct(reads, 100) == s;
-        refined_perfect += refined.reconstruct(reads, 100) == s;
-    }
-    EXPECT_GE(refined_perfect + 5, plain_perfect);
-}
-
 TEST(NwConsensus, SingleNoisyReadIsBestEffort)
 {
     Rng rng(6);

@@ -13,13 +13,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "archive/archive.hh"
+#include "obs/metrics.hh"
+#include "server/archive_backend.hh"
 #include "server/client.hh"
 #include "server/server.hh"
 #include "server/fake_backend.hh"
@@ -265,6 +270,45 @@ TEST(Server, CorruptFrameGetsTypedErrorAndServerSurvives)
     Client good;
     ASSERT_TRUE(good.connectTo(fx.port(), 10000)) << good.error();
     EXPECT_TRUE(good.get("a").ok());
+}
+
+TEST(ArchiveBackend, ZeroPutThreadsEncodesShardsOnThePool)
+{
+    // put_threads 0 is the shared pool's width (dnastored's default
+    // --threads 0), not a serial put: a multi-shard put queues helper
+    // tasks on the pool.
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "a one-worker pool runs every loop inline";
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "backend_put_width";
+    std::filesystem::remove_all(dir);
+    archive::ArchiveParams params;
+    params.codec.payload_nt = 120;
+    params.codec.index_nt = 12;
+    params.codec.rs_n = 60;
+    params.codec.rs_k = 40;
+    params.max_shard_bytes = 256;
+    auto created = archive::Archive::create(dir.string(), params);
+    ASSERT_TRUE(created.ok()) << created.error;
+    ArchiveBackend backend(*created.archive, archive::RetrievalConfig{}, 0);
+
+    std::vector<std::uint8_t> data(4 * params.max_shard_bytes);
+    Rng rng(31);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    const auto tasks = [] {
+        return obs::metrics().counter("util.thread_pool.tasks_total").value();
+    };
+    const std::uint64_t before = tasks();
+    ASSERT_TRUE(backend.storeObject("obj", data).ok());
+    // A helper counts once a worker dequeues it, which may be after the
+    // caller has encoded every shard itself.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (tasks() == before && std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(tasks(), before);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  *
  * Each cycle the harness
  *   1. generates a seeded workload trace: mixed puts of fresh objects
- *      (ThreadPool-batched shard encodes), overwrite attempts against
+ *      (shard encodes in a width-2 parallelFor), overwrite attempts against
  *      stored names (must fail AlreadyExists and leave data intact),
  *      Zipf-skewed gets and stats, and bursts of concurrent report
  *      writers hammering one obs::writeTextFile target;

@@ -73,8 +73,9 @@ retrievalConfig(const ArgParser &args)
     cfg.coverage = args.getDouble("coverage", cfg.coverage);
     cfg.seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
-    // Per-request decode parallelism; scheduler-level batches already
-    // run concurrently, so the default keeps each shard decode serial.
+    // Per-batch shard-decode width on the process-wide pool (0 = its
+    // size); scheduler-level batches already run concurrently, so the
+    // default keeps each batch's shard decodes serial.
     cfg.num_threads =
         static_cast<std::size_t>(args.getInt("decode-threads", 1));
     cfg.max_decode_retries =
@@ -132,6 +133,8 @@ main(int argc, char **argv)
     config.scheduler.max_concurrent_batches =
         static_cast<std::size_t>(args.getInt("max-batches", 2));
 
+    // --threads is both the scheduler's worker count and each put's
+    // shard-encode width; 0 means every core for both.
     server::ArchiveBackend backend(*opened.archive,
                                    retrievalConfig(args),
                                    config.scheduler.num_threads);
