@@ -1,6 +1,7 @@
 #include "archive/archive.hh"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <exception>
 #include <filesystem>
@@ -68,23 +69,55 @@ stringToBytes(const std::string &text)
     return {text.begin(), text.end()};
 }
 
+constexpr std::string_view kPairMarker = " pair=";
+
+/** Room for the longest record id: "m", 20 digits, marker, 10 digits. */
+using RecordIdBuffer = std::array<char, 40>;
+
+/** Format poolRecordId(index, pair_id) into @p buffer, without the heap. */
+std::string_view
+formatRecordId(RecordIdBuffer &buffer, std::size_t index,
+               std::uint32_t pair_id)
+{
+    char *const end = buffer.data() + buffer.size();
+    char *at = buffer.data();
+    *at++ = 'm';
+    at = std::to_chars(at, end, index).ptr;
+    at = std::copy(kPairMarker.begin(), kPairMarker.end(), at);
+    at = std::to_chars(at, end, pair_id).ptr;
+    return {buffer.data(), static_cast<std::size_t>(at - buffer.data())};
+}
+
+/**
+ * Append @p molecules to @p text as pool records of pair @p key, the
+ * first numbered @p index; @p index is advanced past them.  The one
+ * pool.fasta formatter: writePoolFile and Archive::save both use it.
+ */
+void
+appendPoolRecords(std::string &text, std::size_t &index, std::uint32_t key,
+                  const std::vector<Strand> &molecules)
+{
+    RecordIdBuffer buffer;
+    for (const Strand &molecule : molecules)
+        appendFasta(text, formatRecordId(buffer, index++, key), molecule);
+}
+
 } // namespace
 
 std::string
 poolRecordId(std::size_t index, std::uint32_t pair_id)
 {
-    return "m" + std::to_string(index) +
-           " pair=" + std::to_string(pair_id);
+    RecordIdBuffer buffer;
+    return std::string(formatRecordId(buffer, index, pair_id));
 }
 
 std::optional<std::uint32_t>
 tryParsePoolRecordPair(const std::string &id)
 {
-    const std::string marker = " pair=";
-    const std::size_t at = id.rfind(marker);
+    const std::size_t at = id.rfind(kPairMarker);
     if (at == std::string::npos)
         return std::nullopt;
-    const std::string digits = id.substr(at + marker.size());
+    const std::string digits = id.substr(at + kPairMarker.size());
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos)
         return std::nullopt;
@@ -160,15 +193,11 @@ readArchiveFiles(const std::string &dir, bool crash_points)
 bool
 writePoolFile(const std::string &dir, const DnaPool &pool)
 {
-    std::vector<FastaRecord> records;
-    records.reserve(pool.size());
+    std::string text;
+    std::size_t index = 0;
     for (const DnaPool::Section &section : pool.sections())
-        for (const Strand &molecule : section.molecules)
-            records.push_back(
-                {poolRecordId(records.size(), section.key), molecule});
-    std::ostringstream pool_text;
-    writeFasta(pool_text, records);
-    return obs::writeTextFile(poolPath(dir), pool_text.str());
+        appendPoolRecords(text, index, section.key, section.molecules);
+    return obs::writeTextFile(poolPath(dir), text);
 }
 
 const char *
@@ -223,12 +252,19 @@ Archive::ensurePairs(std::size_t num_pairs, std::string &error) const
     if (library_ && library_->numPairs() >= num_pairs)
         return true;
     try {
-        // The greedy design is prefix-stable for a fixed seed: designing
-        // a larger library reproduces the existing primers and appends
-        // new ones, so previously assigned pair ids keep their sequences.
-        Rng rng(manifest_.params.primer_seed);
-        library_ = PrimerLibrary::design(rng, 2 * num_pairs,
-                                         manifest_.params.primer);
+        // The greedy design is prefix-stable for a fixed seed: growing
+        // the library from where its design stopped reproduces one
+        // design of the larger size, so previously assigned pair ids
+        // keep their sequences.  The generator is committed with the
+        // library, so a failed growth leaves both as they were.
+        const PrimerConstraints &constraints = manifest_.params.primer;
+        Rng rng = library_ ? library_rng_
+                           : Rng(manifest_.params.primer_seed);
+        library_ = library_
+                       ? library_->grown(rng, 2 * num_pairs, constraints)
+                       : PrimerLibrary::design(rng, 2 * num_pairs,
+                                               constraints);
+        library_rng_ = rng;
         return true;
     } catch (const std::exception &e) {
         error = std::string("primer design failed: ") + e.what();
@@ -325,6 +361,10 @@ Archive::open(const std::string &dir)
     }
 
     archive.pool_ = std::move(files.pool);
+    for (const DnaPool::Section &section : archive.pool_.sections())
+        if (section.key != kManifestPairId)
+            appendPoolRecords(archive.pool_text_, archive.pool_records_,
+                              section.key, section.molecules);
     result.archive = std::move(archive);
     return result;
 }
@@ -332,6 +372,7 @@ Archive::open(const std::string &dir)
 bool
 Archive::save(std::string &error, std::vector<DnaPool::Section> added)
 {
+    obs::Span span("archive/save");
     if (!ensurePairs(
             std::max<std::size_t>(1, manifest_.nextPairId()), error))
         return false;
@@ -351,13 +392,16 @@ Archive::save(std::string &error, std::vector<DnaPool::Section> added)
 
     // The kept sections, then the added ones, then the pair-0 section:
     // it mirrors the manifest, so it is rebuilt (last) on every save.
-    DnaPool next;
-    for (const DnaPool::Section &section : pool_.sections())
-        if (section.key != kManifestPairId)
-            next.addTagged(section.key, section.molecules);
-    for (DnaPool::Section &section : added)
-        next.addTagged(section.key, std::move(section.molecules));
-    next.addTagged(kManifestPairId, std::move(manifest_strands));
+    // pool_text_ already holds the kept sections' records, so only the
+    // added sections and the mirror are formatted.  Any failure trims
+    // the text back to what is committed.
+    const std::size_t committed = pool_text_.size();
+    std::size_t index = pool_records_;
+    for (const DnaPool::Section &section : added)
+        appendPoolRecords(pool_text_, index, section.key, section.molecules);
+    const std::size_t mirror_begin = pool_text_.size();
+    const std::size_t mirror_index = index;
+    appendPoolRecords(pool_text_, index, kManifestPairId, manifest_strands);
 
     // Both files go through the atomic temp+rename writer, and the
     // manifest rename is the commit point: the pool lands first, so a
@@ -369,18 +413,23 @@ Archive::save(std::string &error, std::vector<DnaPool::Section> added)
     // let the chaos harness and fsck tests kill the process at each
     // window of this protocol (obs.write.* points cover mid-write).
     obs::crash::hit("archive.save.pool");
-    if (!writePoolFile(dir_, next)) {
+    if (!obs::writeTextFile(poolPath(dir_), pool_text_)) {
+        pool_text_.resize(committed);
         error = "cannot write " + poolPath(dir_);
         return false;
     }
     obs::crash::hit("archive.save.between");
     if (!obs::writeTextFile(manifestPath(dir_), manifest_text)) {
+        pool_text_.resize(committed);
         error = "cannot write " + manifestPath(dir_);
         return false;
     }
     obs::crash::hit("archive.save.commit");
 
-    pool_ = std::move(next);
+    pool_text_.resize(mirror_begin);
+    pool_records_ = mirror_index;
+    pool_.appendAndReplaceLast(std::move(added), kManifestPairId,
+                               std::move(manifest_strands));
     return true;
 }
 

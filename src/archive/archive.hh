@@ -44,6 +44,7 @@
 #include "core/fault.hh"
 #include "core/pipeline.hh"
 #include "core/pool.hh"
+#include "util/random.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
 
@@ -277,6 +278,9 @@ class Archive
     /** Tagged molecules currently in the pool (all objects + manifest). */
     std::size_t poolSize() const { return pool_.size(); }
 
+    /** The committed pool, one section per pair id, in file order. */
+    const DnaPool &pool() const { return pool_; }
+
     /**
      * Decode the DNA-encoded manifest copy (reserved pair id 0) back
      * out of the pool through the same simulated retrieval path and
@@ -293,14 +297,16 @@ class Archive
 
     /**
      * Ensure the cached primer library covers pair ids [0, num_pairs).
-     * Deterministic re-design from params.primer_seed, so the library is
-     * rebuilt lazily (const) on whichever operation first needs it.
+     * Designed deterministically from params.primer_seed and grown from
+     * where the last design stopped, so the library is built lazily
+     * (const) on whichever operation first needs it.
      */
     bool ensurePairs(std::size_t num_pairs, std::string &error) const;
 
     /**
      * Persist manifest.json + pool.fasta (incl. DNA manifest copy) with
-     * the @p added sections appended; pool_ takes them only on success.
+     * the @p added sections appended; pool_ and pool_text_ take them
+     * only on success.
      */
     bool save(std::string &error, std::vector<DnaPool::Section> added = {});
 
@@ -326,15 +332,24 @@ class Archive
     std::string dir_;
     ArchiveManifest manifest_;
     DnaPool pool_; //!< Tagged molecules, one section per pair id.
+    /**
+     * The committed pool.fasta text of every section but pair 0 (the
+     * manifest mirror, rebuilt on each save), laid out as writePoolFile
+     * does, and its record count: a save formats only what it adds.
+     */
+    std::string pool_text_;
+    std::size_t pool_records_ = 0;
     std::shared_ptr<MatrixEncoder> encoder_;
     std::shared_ptr<MatrixDecoder> decoder_;
     /** Guards library_'s lazy design from concurrent const callers;
      *  heap-allocated so Archive stays movable. */
     mutable std::unique_ptr<Mutex> library_mutex_ =
         std::make_unique<Mutex>("archive.library");
-    /** Lazily (re)designed primer cache; see ensurePairs. */
+    /** Lazily designed, grown primer cache; see ensurePairs. */
     mutable std::optional<PrimerLibrary> library_
         DNASTORE_GUARDED_BY(*library_mutex_);
+    /** The design generator, left where library_'s design stopped. */
+    mutable Rng library_rng_ DNASTORE_GUARDED_BY(*library_mutex_);
 };
 
 /** No-throw factory result: the archive is set iff status == Ok. */

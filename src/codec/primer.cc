@@ -41,8 +41,16 @@ PrimerLibrary
 PrimerLibrary::design(Rng &rng, std::size_t num_primers,
                       const PrimerConstraints &cons)
 {
+    return PrimerLibrary(std::vector<Strand>{})
+        .grown(rng, num_primers, cons);
+}
+
+PrimerLibrary
+PrimerLibrary::grown(Rng &rng, std::size_t num_primers,
+                     const PrimerConstraints &cons) const
+{
     constexpr std::size_t max_attempts_per_primer = 200000;
-    std::vector<Strand> accepted;
+    std::vector<Strand> accepted = primers;
     accepted.reserve(num_primers);
     while (accepted.size() < num_primers) {
         bool placed = false;

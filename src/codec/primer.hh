@@ -54,6 +54,15 @@ class PrimerLibrary
     static PrimerLibrary design(Rng &rng, std::size_t num_primers,
                                 const PrimerConstraints &constraints = {});
 
+    /**
+     * Continue the greedy design that produced this library up to
+     * num_primers primers.  The search is prefix-stable: given @p rng in
+     * the state that design left it, the result equals one design call
+     * for num_primers from the original seed.  Throws like design().
+     */
+    PrimerLibrary grown(Rng &rng, std::size_t num_primers,
+                        const PrimerConstraints &constraints = {}) const;
+
     /** Construct from pre-existing primers (validated for length only). */
     explicit PrimerLibrary(std::vector<Strand> primers);
 

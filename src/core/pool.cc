@@ -36,6 +36,25 @@ DnaPool::addTagged(Key key, std::vector<Strand> tagged_molecules)
                      std::make_move_iterator(tagged_molecules.end()));
 }
 
+void
+DnaPool::appendAndReplaceLast(std::vector<Section> added, Key last_key,
+                              std::vector<Strand> last_molecules)
+{
+    if (const auto last = index_.find(last_key); last != index_.end()) {
+        const std::size_t dropped = last->second;
+        size_ -= sections_[dropped].molecules.size();
+        sections_.erase(sections_.begin() +
+                        static_cast<std::ptrdiff_t>(dropped));
+        index_.erase(last);
+        for (auto &entry : index_)
+            if (entry.second > dropped)
+                --entry.second;
+    }
+    for (Section &section : added)
+        addTagged(section.key, std::move(section.molecules));
+    addTagged(last_key, std::move(last_molecules));
+}
+
 const std::vector<Strand> &
 DnaPool::section(Key key) const
 {

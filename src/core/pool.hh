@@ -49,6 +49,15 @@ class DnaPool
      */
     void addTagged(Key key, std::vector<Strand> tagged_molecules);
 
+    /**
+     * Append the @p added sections (each merged like addTagged), then
+     * make @p last_key's section hold exactly @p last_molecules as the
+     * final section, dropping its old molecules wherever it stood.
+     * @p added must not hold @p last_key.
+     */
+    void appendAndReplaceLast(std::vector<Section> added, Key last_key,
+                              std::vector<Strand> last_molecules);
+
     /** Molecules stored under @p key; empty when the key is absent. */
     const std::vector<Strand> &section(Key key) const;
 

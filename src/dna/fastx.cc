@@ -1,5 +1,6 @@
 #include "dna/fastx.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -110,13 +111,26 @@ readFasta(std::istream &in)
 }
 
 void
-writeFasta(std::ostream &out, const std::vector<FastaRecord> &records)
+appendFasta(std::string &out, std::string_view id, std::string_view sequence)
 {
     constexpr std::size_t wrap = 70;
+    out += '>';
+    out += id;
+    out += '\n';
+    for (std::size_t i = 0; i < sequence.size(); i += wrap) {
+        out.append(sequence.data() + i, std::min(wrap, sequence.size() - i));
+        out += '\n';
+    }
+}
+
+void
+writeFasta(std::ostream &out, const std::vector<FastaRecord> &records)
+{
+    std::string text;
     for (const auto &rec : records) {
-        out << '>' << rec.id << '\n';
-        for (std::size_t i = 0; i < rec.sequence.size(); i += wrap)
-            out << rec.sequence.substr(i, wrap) << '\n';
+        text.clear();
+        appendFasta(text, rec.id, rec.sequence);
+        out << text;
     }
 }
 

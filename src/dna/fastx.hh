@@ -9,6 +9,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dnastore
@@ -49,7 +50,15 @@ void writeFastqFile(const std::string &path,
 /** Parse FASTA from a stream (multi-line sequences supported). */
 std::vector<FastaRecord> readFasta(std::istream &in);
 
-/** Serialise records as FASTA (sequences wrapped at 70 columns). */
+/**
+ * Append one FASTA record to @p out: ">id", then the sequence wrapped at
+ * 70 columns, every line newline-terminated (an empty sequence adds no
+ * sequence line).  Allocates only when @p out grows.
+ */
+void appendFasta(std::string &out, std::string_view id,
+                 std::string_view sequence);
+
+/** Serialise records as FASTA (appendFasta per record). */
 void writeFasta(std::ostream &out, const std::vector<FastaRecord> &records);
 
 } // namespace dnastore

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "archive/fsck.hh"
+#include "dna/fastx.hh"
 #include "obs/metrics.hh"
 #include "util/random.hh"
 
@@ -103,6 +104,32 @@ joinRecords(const std::vector<std::string> &records)
     for (const std::string &record : records)
         out += record;
     return out;
+}
+
+/**
+ * The pool file a full rewrite of @p pool writes: one record per
+ * molecule, in section order, with contiguous "m<i> pair=<id>" ids,
+ * formatted by the 70-column substr loop over an ostringstream, plus
+ * the newline the atomic text writer appends.  The reference the
+ * incremental pool text is checked against.
+ */
+std::string
+fullRewritePoolText(const DnaPool &pool)
+{
+    std::vector<FastaRecord> records;
+    for (const DnaPool::Section &section : pool.sections())
+        for (const Strand &molecule : section.molecules)
+            records.push_back({"m" + std::to_string(records.size()) +
+                                   " pair=" + std::to_string(section.key),
+                               molecule});
+    std::ostringstream text;
+    for (const FastaRecord &record : records) {
+        text << '>' << record.id << '\n';
+        for (std::size_t i = 0; i < record.sequence.size(); i += 70)
+            text << record.sequence.substr(i, 70) << '\n';
+    }
+    text << '\n';
+    return text.str();
 }
 
 /** Whether fsck reported a finding of @p kind. */
@@ -538,6 +565,7 @@ TEST_F(ArchiveTest, FailedSaveRollsBackAndRecovers)
     Archive &tube = *created.archive;
     ASSERT_TRUE(tube.put("first", patternBytes(100, 9)).ok());
     const std::size_t pool_before = tube.poolSize();
+    const std::string pool_text_before = slurp(dir() + "/pool.fasta");
 
     // The atomic writer cannot rename over a directory, so turning each
     // target into one simulates an unwritable destination.
@@ -554,18 +582,107 @@ TEST_F(ArchiveTest, FailedSaveRollsBackAndRecovers)
         EXPECT_EQ(tube.objects().size(), 1u);
         EXPECT_EQ(tube.stat(payload_name), nullptr);
         EXPECT_EQ(tube.poolSize(), pool_before);
+        EXPECT_EQ(fullRewritePoolText(tube.pool()), pool_text_before)
+            << victim;
         std::filesystem::remove_all(path);
         spew(path, saved);
     }
 
-    // With the obstruction gone the same put succeeds cleanly.
+    // With the obstruction gone the same put succeeds cleanly, and the
+    // failed saves left no trace: both files match an archive that
+    // stored the same objects without failures.
     const auto ok = tube.put(payload_name, payload);
     ASSERT_TRUE(ok.ok()) << ok.error;
+    const std::string control_dir = dir() + "-control";
+    std::filesystem::remove_all(control_dir);
+    {
+        auto control = Archive::create(control_dir, smallParams());
+        ASSERT_TRUE(control.ok()) << control.error;
+        ASSERT_TRUE(control.archive->put("first", patternBytes(100, 9)).ok());
+        ASSERT_TRUE(control.archive->put(payload_name, payload).ok());
+    }
+    for (const char *file : {"/manifest.json", "/pool.fasta"})
+        EXPECT_EQ(slurp(dir() + file), slurp(control_dir + file)) << file;
+    std::filesystem::remove_all(control_dir);
     RetrievalConfig retrieval;
     retrieval.error_rate = 0.02;
     const GetResult got = tube.get(payload_name, retrieval);
     ASSERT_TRUE(got.ok()) << got.error;
     EXPECT_EQ(got.data, payload);
+}
+
+TEST_F(ArchiveTest, PoolFileBytesMatchAFullRewrite)
+{
+    // Saves append only what they add to the cached pool text; the file
+    // must stay byte-identical to a full rewrite of the in-memory pool
+    // through every path that builds or trims that text.
+    const std::string pool_path = dir() + "/pool.fasta";
+    const std::string manifest_path = dir() + "/manifest.json";
+    // Report where the texts part rather than diffing megabytes.
+    const auto expectFullRewrite = [&](const Archive &tube,
+                                       const std::string &when) {
+        const std::string file = slurp(pool_path);
+        const std::string rewrite = fullRewritePoolText(tube.pool());
+        const auto parted =
+            std::mismatch(file.begin(), file.end(), rewrite.begin(),
+                          rewrite.end());
+        EXPECT_TRUE(file == rewrite)
+            << when << ": " << file.size() << " bytes on disk, "
+            << rewrite.size() << " in a full rewrite, first difference at "
+            << (parted.first - file.begin());
+    };
+    {
+        auto created = Archive::create(dir(), smallParams());
+        ASSERT_TRUE(created.ok()) << created.error;
+        expectFullRewrite(*created.archive, "create");
+        // Mixed single-shard and multi-shard objects (256-byte shards).
+        for (std::size_t i = 0; i < 40; ++i) {
+            const std::size_t size = i % 3 == 0 ? 300 + 40 * i : 60 + 4 * i;
+            const std::string name = "obj-" + std::to_string(i);
+            ASSERT_TRUE(
+                created.archive->put(name, patternBytes(size, 100 + i)).ok())
+                << name;
+            expectFullRewrite(*created.archive, name);
+        }
+    }
+
+    {
+        auto reopened = Archive::open(dir());
+        ASSERT_TRUE(reopened.ok()) << reopened.error;
+        expectFullRewrite(*reopened.archive, "reopen");
+        ASSERT_TRUE(
+            reopened.archive->put("after-reopen", patternBytes(500, 1)).ok());
+        expectFullRewrite(*reopened.archive, "put after reopen");
+
+        // Leave the pool one object ahead of its manifest, as a crash
+        // between the two renames does.
+        const std::string old_manifest = slurp(manifest_path);
+        ASSERT_TRUE(reopened.archive->put("ahead", patternBytes(400, 2)).ok());
+        spew(manifest_path, old_manifest);
+    }
+    auto behind = Archive::open(dir());
+    ASSERT_TRUE(behind.ok()) << behind.error;
+    Archive &tube = *behind.archive;
+    ASSERT_EQ(tube.stat("ahead"), nullptr);
+    ASSERT_TRUE(tube.put("after-orphans", patternBytes(200, 3)).ok());
+    expectFullRewrite(tube, "put after dropping orphans");
+    EXPECT_EQ(fastaRecords(slurp(pool_path)).size(), tube.poolSize());
+
+    // A save that fails at either write, then one that succeeds.
+    std::size_t round = 0;
+    for (const std::string &victim : {pool_path, manifest_path}) {
+        const std::string saved = slurp(victim);
+        std::filesystem::remove(victim);
+        std::filesystem::create_directory(victim);
+        EXPECT_EQ(tube.put("blocked", patternBytes(300, 4)).status,
+                  ArchiveStatus::IoError)
+            << victim;
+        std::filesystem::remove_all(victim);
+        spew(victim, saved);
+        const std::string name = "after-failure-" + std::to_string(round++);
+        ASSERT_TRUE(tube.put(name, patternBytes(350, 5)).ok()) << victim;
+        expectFullRewrite(tube, "put after failed save of " + victim);
+    }
 }
 
 TEST_F(ArchiveTest, ToleratesPcrOffTargetContamination)

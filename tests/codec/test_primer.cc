@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "archive/manifest.hh"
 #include "codec/primer.hh"
 #include "dna/distance.hh"
 
@@ -71,6 +74,29 @@ TEST(PrimerLibrary, DesignIsPrefixStableAsLibraryGrows)
     ASSERT_EQ(large_lib.size(), 24u);
     for (std::size_t i = 0; i < small_lib.size(); ++i)
         EXPECT_EQ(small_lib.primer(i), large_lib.primer(i));
+}
+
+TEST(PrimerLibrary, GrowingInStepsMatchesOneDesign)
+{
+    // The archive grows its library a few pairs at a time, continuing
+    // the design's generator; every step size must reproduce exactly the
+    // primers of one design call for the final size.
+    constexpr std::size_t kPrimers = 300;
+    const PrimerConstraints cons;
+    const std::uint64_t seed = archive::ArchiveParams{}.primer_seed;
+    Rng once_rng(seed);
+    const auto once = PrimerLibrary::design(once_rng, kPrimers, cons);
+    ASSERT_EQ(once.size(), kPrimers);
+    for (const std::size_t step_pairs : {1, 2, 7}) {
+        const std::size_t step = 2 * step_pairs;
+        Rng rng(seed);
+        PrimerLibrary lib = PrimerLibrary::design(rng, step, cons);
+        while (lib.size() < kPrimers)
+            lib = lib.grown(rng, std::min(kPrimers, lib.size() + step),
+                            cons);
+        EXPECT_EQ(lib.all(), once.all()) << "step " << step_pairs;
+        EXPECT_EQ(rng.next(), Rng(once_rng).next()) << "step " << step_pairs;
+    }
 }
 
 TEST(PrimerLibrary, ArchiveScaleLibraryHonoursConstraintsPairwise)

@@ -128,5 +128,47 @@ TEST(DnaPool, AmplifyPutsTargetFirstThenLeaksInPoolOrder)
     EXPECT_EQ(quiet.next(), untouched.next());
 }
 
+TEST(DnaPool, AppendAndReplaceLastMovesTheKeyToTheEnd)
+{
+    // Section 0 sits mid-pool: the call drops it, appends the added
+    // sections (merging into an existing key) and re-adds 0 last.
+    Fixture f;
+    const auto strands = [&f](std::size_t n) {
+        std::vector<Strand> out;
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(strand::random(f.rng, 30));
+        return out;
+    };
+    const auto one = strands(3), zero = strands(4), two = strands(2);
+    const auto more_two = strands(1), three = strands(5), mirror = strands(6);
+    DnaPool pool;
+    pool.addTagged(1, one);
+    pool.addTagged(0, zero);
+    pool.addTagged(2, two);
+    pool.appendAndReplaceLast({{2, more_two}, {3, three}}, 0, mirror);
+
+    std::vector<DnaPool::Key> keys;
+    for (const DnaPool::Section &section : pool.sections())
+        keys.push_back(section.key);
+    EXPECT_EQ(keys, (std::vector<DnaPool::Key>{1, 2, 3, 0}));
+    std::vector<Strand> all_two = two;
+    all_two.insert(all_two.end(), more_two.begin(), more_two.end());
+    EXPECT_EQ(pool.section(1), one);
+    EXPECT_EQ(pool.section(2), all_two);
+    EXPECT_EQ(pool.section(3), three);
+    EXPECT_EQ(pool.section(0), mirror);
+    EXPECT_EQ(pool.size(), one.size() + all_two.size() + three.size() +
+                               mirror.size());
+
+    // An absent key is simply added last; later stores find every slot.
+    DnaPool fresh;
+    fresh.appendAndReplaceLast({{5, one}}, 0, zero);
+    fresh.addTagged(5, two);
+    ASSERT_EQ(fresh.sections().size(), 2u);
+    EXPECT_EQ(fresh.sections()[1].key, 0u);
+    EXPECT_EQ(fresh.section(5).size(), one.size() + two.size());
+    EXPECT_EQ(fresh.size(), one.size() + two.size() + zero.size());
+}
+
 } // namespace
 } // namespace dnastore

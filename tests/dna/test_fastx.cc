@@ -100,6 +100,41 @@ TEST(Fasta, RoundTripWithWrapping)
     EXPECT_EQ(parsed[1].sequence, "ACGT");
 }
 
+TEST(Fasta, AppendMatchesTheSubstrWriterByteForByte)
+{
+    // The writer appendFasta replaced: one substr per 70-column line.
+    const auto substr_writer = [](const std::string &id,
+                                  const std::string &sequence) {
+        std::ostringstream out;
+        out << '>' << id << '\n';
+        for (std::size_t i = 0; i < sequence.size(); i += 70)
+            out << sequence.substr(i, 70) << '\n';
+        return out.str();
+    };
+    const std::string bases = "ACGTTGCAAGCT";
+    std::vector<FastaRecord> records;
+    std::string expected;
+    std::string appended = "kept prefix\n";
+    const std::string prefix = appended;
+    for (const std::size_t length : {0, 1, 69, 70, 71, 140, 141}) {
+        std::string sequence(length, 'A');
+        for (std::size_t i = 0; i < length; ++i)
+            sequence[i] = bases[(i * 7 + length) % bases.size()];
+        const std::string id = "m" + std::to_string(length) + " pair=3";
+        records.push_back({id, sequence});
+        expected += substr_writer(id, sequence);
+
+        std::string alone;
+        appendFasta(alone, id, sequence);
+        EXPECT_EQ(alone, substr_writer(id, sequence)) << length;
+        appendFasta(appended, id, sequence);
+    }
+    EXPECT_EQ(appended, prefix + expected);
+    std::ostringstream written;
+    writeFasta(written, records);
+    EXPECT_EQ(written.str(), expected);
+}
+
 TEST(Fasta, MultiLineSequencesJoined)
 {
     std::istringstream in(">a\nACG\nTTT\n>b\nGG\n");
