@@ -93,8 +93,11 @@ main(int argc, char **argv)
         nonempty = std::min(nonempty, NwConsensusConfig{}.max_reads);
         nw_aligned_reads += nonempty > 0 ? nonempty - 1 : 0;
     }
+    obs::Counter &retries =
+        obs::metrics().counter("dna.msa_band_retries_total");
     obs::Counter &widenings =
         obs::metrics().counter("dna.msa_band_widenings_total");
+    const std::uint64_t retries_before = retries.value();
     const std::uint64_t widenings_before = widenings.value();
 
     std::vector<ReconstructionProfile> profiles;
@@ -126,9 +129,10 @@ main(int argc, char **argv)
         profiles.push_back(std::move(profile));
     }
     std::cout << summary.text() << "\n"
-              << "NW profile-MSA band widenings: "
-              << widenings.value() - widenings_before << " of "
-              << nw_aligned_reads << " aligned reads\n\n";
+              << "NW profile-MSA band reruns of " << nw_aligned_reads
+              << " aligned reads: " << retries.value() - retries_before
+              << " retried wider, " << widenings.value() - widenings_before
+              << " widened to full width\n\n";
 
     Table fig;
     fig.header({"index", "BMA", "DBMA", "NW"});

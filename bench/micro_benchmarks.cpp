@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "clustering/clusterer.hh"
 #include "clustering/signature.hh"
 #include "dna/align.hh"
@@ -163,13 +165,19 @@ BENCHMARK(BM_GlobalAlign)->Range(32, 256);
 void
 BM_Reconstruct(benchmark::State &state)
 {
+    // Args: algorithm (0 BMA, 1 DBMA, 2 NW), coverage, strand length.
+    // Each iteration reconstructs the next of 16 clusters, so one
+    // cluster's luck (a read NW has to realign wider, say) is averaged.
     Rng rng(8);
     IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.06));
-    const Strand original = strand::random(rng, 120);
     const auto coverage = static_cast<std::size_t>(state.range(1));
-    std::vector<Strand> cluster;
-    for (std::size_t c = 0; c < coverage; ++c)
-        cluster.push_back(channel.transmit(original, rng));
+    const auto length = static_cast<std::size_t>(state.range(2));
+    std::vector<std::vector<Strand>> clusters(16);
+    for (std::vector<Strand> &cluster : clusters) {
+        const Strand original = strand::random(rng, length);
+        for (std::size_t c = 0; c < coverage; ++c)
+            cluster.push_back(channel.transmit(original, rng));
+    }
 
     BmaReconstructor bma;
     DoubleSidedBmaReconstructor dbma;
@@ -179,16 +187,23 @@ BM_Reconstruct(benchmark::State &state)
         : state.range(0) == 1
             ? static_cast<const Reconstructor *>(&dbma)
             : static_cast<const Reconstructor *>(&nw);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(algo->reconstruct(cluster, 120));
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(algo->reconstruct(clusters[next], length));
+        next = (next + 1) % clusters.size();
+    }
 }
 BENCHMARK(BM_Reconstruct)
-    ->Args({0, 10})
-    ->Args({1, 10})
-    ->Args({2, 10})
-    ->Args({0, 50})
-    ->Args({1, 50})
-    ->Args({2, 50});
+    ->Args({0, 10, 120})
+    ->Args({1, 10, 120})
+    ->Args({2, 10, 120})
+    ->Args({0, 50, 120})
+    ->Args({1, 50, 120})
+    ->Args({2, 50, 120})
+    // Table III geometry: 132-nt strands at coverage 50, and at 32, the
+    // number of reads NW consensus aligns by default.
+    ->Args({2, 32, 132})
+    ->Args({2, 50, 132});
 
 void
 BM_GruStep(benchmark::State &state)

@@ -82,7 +82,8 @@ formatRecordId(RecordIdBuffer &buffer, std::size_t index,
     char *const end = buffer.data() + buffer.size();
     char *at = buffer.data();
     *at++ = 'm';
-    at = std::to_chars(at, end, index).ptr;
+    // Bounded so that the marker always fits after the index.
+    at = std::to_chars(at, end - kPairMarker.size(), index).ptr;
     at = std::copy(kPairMarker.begin(), kPairMarker.end(), at);
     at = std::to_chars(at, end, pair_id).ptr;
     return {buffer.data(), static_cast<std::size_t>(at - buffer.data())};

@@ -106,9 +106,9 @@ classifyEdits(const std::string &reference, const std::string &read,
 namespace
 {
 
-enum : std::uint8_t { FromDiag = 0, FromUp = 1, FromLeft = 2 };
+constexpr std::uint8_t FromDiag = 0, FromUp = 1, FromLeft = 2;
 
-/** Band slack w: diagonals beyond the length difference that are filled. */
+/** Band slack w: offsets beyond the length difference that are filled. */
 constexpr std::ptrdiff_t kBandSlack = 8;
 
 /** Far below any reachable score, with headroom for the steps the DP
@@ -116,9 +116,23 @@ constexpr std::ptrdiff_t kBandSlack = 8;
 constexpr std::int64_t kUnreachable =
     std::numeric_limits<std::int64_t>::min() / 4;
 
-/** Reads whose band could not be proved exact and were realigned at
- *  full width.  Resolved at load time, so addRead only touches the
- *  counter (and its atomic) when it widens. */
+/** Whether a column with @p gaps gaps among @p reads reads is one the
+ *  band's centre follows: at most half of its reads are gaps, so that
+ *  with two reads a column one of them deleted still counts. */
+constexpr bool
+majorityColumn(std::uint32_t gaps, std::size_t reads)
+{
+    return 2 * std::size_t{gaps} <= reads;
+}
+
+/** Reads whose guided band could not be proved exact but whose wider
+ *  retry could.  Resolved at load time, like the counter below. */
+obs::Counter &band_retries =
+    obs::metrics().counter("dna.msa_band_retries_total");
+
+/** Reads whose band could not be proved exact even after the retry and
+ *  were realigned at full width.  Resolved at load time, so addRead
+ *  only touches a counter (and its atomic) when it reruns. */
 obs::Counter &band_widenings =
     obs::metrics().counter("dna.msa_band_widenings_total");
 
@@ -131,53 +145,77 @@ ProfileMsa::ProfileMsa(const AlignScores &align_scores) : scores(align_scores)
 bool
 ProfileMsa::alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi)
 {
-    const std::vector<std::uint8_t> &codes = scratch.codes;
     const std::size_t m = columns.size();
-    const std::size_t n = codes.size();
+    const std::size_t n = scratch.codes.size();
     const auto sn = static_cast<std::ptrdiff_t>(n);
     const std::size_t stride = n + 1;
     // Inserting a new column: every existing read takes a gap.
     const std::int64_t new_column =
         static_cast<std::int64_t>(reads_added) * scores.gap;
 
+    // Row i (the first i profile columns) fills j in [c(i) + lo,
+    // c(i) + hi], clamped to [0, n], where c(i) counts the base-majority
+    // columns among the first i.  Each edge moves 0 or 1 column per row.
+    //
     // Two DP rows, each updated in place (before cell j of row i is
     // written it still holds row i-1's value):
     //  - row:   the best score of a path that stays inside the band;
     //  - bound: an upper bound on any path that leaves the band and
     //           comes back to the cell.
     // The cells outside the band are summarised, per row, by one upper
-    // bound below it (j < i + lo) and one above it (j > i + hi).  They
-    // enter `bound` through the band's first cell (a left move) and
-    // through the cell past the previous row's band (an up move).  If
-    // bound < row at (m, n), every path that leaves the band scores
+    // bound below it (j < j_lo) and one above it (j > j_hi); a step
+    // taken outside is scored as the column's best possible step, and a
+    // left move never raises a score.  A path re-enters the band
+    //  - from below, by a left move into the band's first cell, or, when
+    //    the left edge stalled, by a diagonal into it from the previous
+    //    row's below;
+    //  - from above, by an up move into the cell past the previous
+    //    row's band, which is in this row's band when the right edge
+    //    moved.
+    // It leaves the band
+    //  - downwards by an up move from the previous row's first cell,
+    //    when the left edge moved;
+    //  - upwards by a left move from the row's last cell, or, when the
+    //    right edge stalled, by a diagonal from the previous row's last
+    //    cell.
+    // With edges that move 0 or 1 per row, no other move crosses one.
+    // If bound < row at (m, n), every path that leaves the band scores
     // strictly lower than the banded optimum, and the banded trace
     // equals the full-width one, ties included.
-    std::vector<std::int64_t> &row = scratch.row;
-    std::vector<std::int64_t> &bound = scratch.bound;
-    std::vector<std::uint8_t> &trace = scratch.trace;
-    row.resize(stride);
-    bound.resize(stride);
-    trace.resize((m + 1) * stride);
+    scratch.row.resize(stride);
+    scratch.bound.resize(stride);
+    scratch.trace.resize((m + 1) * stride);
+    // Local pointers: the trace store may alias anything, so loads
+    // through the vectors would be repeated on every cell.
+    std::int64_t *const row = scratch.row.data();
+    std::int64_t *const bound = scratch.bound.data();
+    const std::uint8_t *const codes = scratch.codes.data();
+    std::uint8_t *const trace = scratch.trace.data();
 
-    const auto row0_end = static_cast<std::size_t>(std::min(sn, hi));
+    // Row 0: c(0) = 0 and lo < 0, so the band starts at column 0.
+    std::size_t j_lo = 0;
+    std::size_t j_hi = static_cast<std::size_t>(std::min(sn, hi));
     row[0] = 0;
     bound[0] = kUnreachable;
-    for (std::size_t j = 1; j <= row0_end; ++j) {
+    for (std::size_t j = 1; j <= j_hi; ++j) {
         row[j] = row[j - 1] + new_column;
         bound[j] = kUnreachable;
         trace[j] = FromLeft;
     }
-    // Upper bounds, for the current row, on any cell under the band, on
-    // any cell over it, and on cell (i, i + lo) by any path.
+    // Upper bounds, for the current row, on any cell under the band and
+    // on any cell over it; and on the band's first and last cells by
+    // any path.
     std::int64_t below = kUnreachable;
     std::int64_t above = kUnreachable;
-    std::int64_t lo_edge = kUnreachable;
-    if (row0_end < n) {
-        above = row[row0_end] + new_column;
-        row[row0_end + 1] = kUnreachable;
-        bound[row0_end + 1] = above;
+    std::int64_t lo_edge = row[0];
+    std::int64_t hi_edge = row[j_hi];
+    if (j_hi < n) {
+        above = hi_edge + new_column;
+        row[j_hi + 1] = kUnreachable;
+        bound[j_hi + 1] = above;
     }
 
+    std::ptrdiff_t c = 0;
     for (std::size_t i = 1; i <= m; ++i) {
         const auto &counts = columns[i - 1].counts;
         const std::int64_t bases = static_cast<std::int64_t>(counts[0]) +
@@ -197,14 +235,20 @@ ProfileMsa::alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi)
         const std::int64_t step_max = std::max(
             up_score, *std::max_element(diag_score.begin(), diag_score.end()));
 
-        const auto si = static_cast<std::ptrdiff_t>(i);
-        const auto j_lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-            0, si + lo));
-        const auto j_hi = static_cast<std::size_t>(std::min(sn, si + hi));
-        below = si + lo > 0 ? std::max(below + step_max, lo_edge + up_score)
-                            : kUnreachable;
+        c += majorityColumn(counts[4], reads_added);
+        const std::size_t prev_lo = j_lo, prev_hi = j_hi;
+        j_lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, c + lo));
+        j_hi = static_cast<std::size_t>(std::min(sn, c + hi));
+        const bool lo_moved = j_lo != prev_lo;
+        const std::int64_t prev_below = below;
+        if (j_lo == 0)
+            below = kUnreachable;
+        else if (lo_moved)
+            below = std::max(below + step_max, lo_edge + up_score);
+        else
+            below += step_max;
 
-        std::uint8_t *tr = trace.data() + i * stride;
+        std::uint8_t *const tr = trace + i * stride;
         std::size_t j = j_lo;
         // Cell (i-1, j-1), and cell (i, j-1), which for the band's first
         // cell lies under the band.
@@ -217,25 +261,27 @@ ProfileMsa::alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi)
             tr[0] = FromUp;
             left = row[0];
             j = 1;
-        } else {
+        } else if (lo_moved) {
             diag_prev = row[j_lo - 1];
             bound_diag_prev = bound[j_lo - 1];
+        } else {
+            // The left edge stalled: cell (i-1, j_lo-1) lies under the
+            // previous row's band, and row[j_lo-1] is stale.
+            bound_diag_prev = prev_below;
         }
         for (; j <= j_hi; ++j) {
             const std::int64_t score = diag_score[codes[j - 1]];
             const std::int64_t diag = diag_prev + score;
             const std::int64_t up = row[j] + up_score;
+            const std::int64_t from_left = left + new_column;
             diag_prev = row[j];
-            std::int64_t best = diag;
-            std::uint8_t dir = FromDiag;
-            if (up > best) {
-                best = up;
-                dir = FromUp;
-            }
-            if (left + new_column > best) {
-                best = left + new_column;
-                dir = FromLeft;
-            }
+            // Ties resolve diagonal > up > left.
+            const bool take_up = up > diag;
+            std::int64_t best = take_up ? up : diag;
+            std::uint8_t dir = take_up ? FromUp : FromDiag;
+            const bool take_left = from_left > best;
+            best = take_left ? from_left : best;
+            dir = take_left ? FromLeft : dir;
             row[j] = best;
             tr[j] = dir;
             left = best;
@@ -247,11 +293,13 @@ ProfileMsa::alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi)
             bound[j] = out;
             bound_left = out;
         }
-        if (si + lo >= 0)
-            lo_edge = std::max(row[j_lo], bound[j_lo]);
+        lo_edge = std::max(row[j_lo], bound[j_lo]);
+        const std::int64_t prev_hi_edge = hi_edge;
+        hi_edge = std::max(row[j_hi], bound[j_hi]);
         if (j_hi < n) {
-            above = std::max(above + step_max,
-                             std::max(row[j_hi], bound[j_hi]) + new_column);
+            above = std::max(above + step_max, hi_edge + new_column);
+            if (j_hi == prev_hi)
+                above = std::max(above, prev_hi_edge + step_max);
             row[j_hi + 1] = kUnreachable;
             bound[j_hi + 1] = above;
         }
@@ -301,19 +349,29 @@ ProfileMsa::addRead(const std::string &read)
         columns.resize(read.size());
         for (std::size_t i = 0; i < read.size(); ++i)
             columns[i].counts[codes[i]] = 1;
+        majority_columns = read.size();
         reads_added = 1;
         return;
     }
 
+    // The guided band, then the same centre with more slack, then full
+    // width: each rerun happens only when the last band was not proved
+    // exact.
     const auto m = static_cast<std::ptrdiff_t>(columns.size());
     const auto n = static_cast<std::ptrdiff_t>(read.size());
-    const std::ptrdiff_t lo = std::max(-m, std::min<std::ptrdiff_t>(0, n - m) -
-                                               kBandSlack);
+    const auto majority = static_cast<std::ptrdiff_t>(majority_columns);
+    const std::ptrdiff_t lo =
+        std::min<std::ptrdiff_t>(0, n - majority) - kBandSlack;
     const std::ptrdiff_t hi =
-        std::min(n, std::max<std::ptrdiff_t>(0, n - m) + kBandSlack);
+        std::max<std::ptrdiff_t>(0, n - majority) + kBandSlack;
     if (!alignBanded(lo, hi)) {
-        band_widenings.add();
-        alignBanded(-m, n);
+        const std::ptrdiff_t more = std::max(m - majority, kBandSlack);
+        obs::Counter *rerun = &band_retries;
+        if (!alignBanded(lo - more, hi + more)) {
+            rerun = &band_widenings;
+            alignBanded(-m, n);
+        }
+        rerun->add();
     }
     traceBack();
 
@@ -321,6 +379,7 @@ ProfileMsa::addRead(const std::string &read)
     std::vector<Column> &merged = scratch.merged;
     merged.clear();
     merged.reserve(scratch.steps.size());
+    majority_columns = 0;
     for (auto it = scratch.steps.rbegin(); it != scratch.steps.rend(); ++it) {
         switch (it->dir) {
           case FromDiag: {
@@ -343,6 +402,8 @@ ProfileMsa::addRead(const std::string &read)
             break;
           }
         }
+        majority_columns +=
+            majorityColumn(merged.back().counts[4], reads_added + 1);
     }
     columns.swap(merged);
     ++reads_added;

@@ -86,17 +86,22 @@ classifyEdits(const std::string &reference, const std::string &read,
  * gaps*gap, a read gap scores bases*gap, and a new column scores
  * reads*gap.  Ties resolve diagonal > up > left.
  *
- * The DP is banded: with m columns and an n-base read, only cells whose
- * diagonal j - i lies in [min(0, n-m) - w, max(0, n-m) + w] are filled
- * (w = 8).  Alongside the banded scores the same loop carries an upper
- * bound on every path that leaves the band, scoring each step outside
- * it as the column's best possible step.  If that bound reaches the
- * banded optimum, the read's alignment may lie outside the band, so the
- * same loop is rerun at full width and `dna.msa_band_widenings_total`
- * is incremented.  Otherwise the banded alignment is exactly the
- * full-width one, tie-breaking included.  Scratch buffers live in the
- * object and are reused across reads, so one ProfileMsa must not be
- * shared between threads.
+ * The DP is banded around the profile's base-majority columns (those
+ * at most half of whose reads are gaps).  With c(i) of them among the
+ * first i columns, C = c(m) in all, and an n-base read, row i fills the
+ * cells j with j - c(i) in [min(0, n-C) - w, max(0, n-C) + w] (w = 8),
+ * so a read follows the profile's consensus rather than its diagonal,
+ * and the columns other reads inserted cost the band no width.
+ * Alongside the banded scores the same loop carries an upper bound on
+ * every path that leaves the band, scoring each step outside it as the
+ * column's best possible step.  If that bound reaches the banded
+ * optimum, the read's alignment may lie outside the band, so the same
+ * loop is rerun with max(m - C, w) more slack on each side
+ * (`dna.msa_band_retries_total`), and if that cannot be proved exact
+ * either, at full width (`dna.msa_band_widenings_total`).  Otherwise
+ * the banded alignment is exactly the full-width one, tie-breaking
+ * included.  Scratch buffers live in the object and are reused across
+ * reads, so one ProfileMsa must not be shared between threads.
  */
 class ProfileMsa
 {
@@ -151,10 +156,11 @@ class ProfileMsa
     };
 
     /**
-     * Fill the DP of scratch.codes against the profile over diagonals
-     * j - i in [lo, hi] into scratch.trace.  Returns true if no path
-     * leaving the band can score as high as the banded optimum, i.e.
-     * the band gives the full-width alignment.
+     * Fill the DP of scratch.codes against the profile over the cells
+     * with j - c(i) in [lo, hi] into scratch.trace, c(i) being the
+     * number of majority columns among the first i.  Returns true if no
+     * path leaving the band can score as high as the banded optimum,
+     * i.e. the band gives the full-width alignment.
      */
     bool alignBanded(std::ptrdiff_t lo, std::ptrdiff_t hi);
 
@@ -164,6 +170,8 @@ class ProfileMsa
     AlignScores scores;
     std::vector<Column> columns;
     std::size_t reads_added = 0;
+    /** Majority columns in the profile: C, the band's centre at row m. */
+    std::size_t majority_columns = 0;
 
     /** Per-read working memory, kept to avoid reallocating per read. */
     struct Scratch

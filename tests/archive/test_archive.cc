@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -117,11 +118,19 @@ std::string
 fullRewritePoolText(const DnaPool &pool)
 {
     std::vector<FastaRecord> records;
-    for (const DnaPool::Section &section : pool.sections())
-        for (const Strand &molecule : section.molecules)
-            records.push_back({"m" + std::to_string(records.size()) +
-                                   " pair=" + std::to_string(section.key),
-                               molecule});
+    for (const DnaPool::Section &section : pool.sections()) {
+        for (const Strand &molecule : section.molecules) {
+            // reserve + append: GCC 12 at -O3 reports a false
+            // -Werror=restrict inside a chain of operator+.
+            std::string id;
+            id.reserve(40);
+            id.append("m")
+                .append(std::to_string(records.size()))
+                .append(" pair=")
+                .append(std::to_string(section.key));
+            records.push_back({std::move(id), molecule});
+        }
+    }
     std::ostringstream text;
     for (const FastaRecord &record : records) {
         text << '>' << record.id << '\n';
@@ -388,6 +397,20 @@ TEST_F(ArchiveTest, OpenRejectsMangledPoolRecords)
         << short_pool.error;
     EXPECT_TRUE(hasFinding(fsckArchive(dir()),
                            FsckFindingKind::StrandCountMismatch));
+}
+
+TEST_F(ArchiveTest, PoolRecordIdRoundTripsAtTheLimits)
+{
+    // The longest id the formatter can emit: every digit of both
+    // counters.
+    const std::string id = poolRecordId(
+        std::numeric_limits<std::size_t>::max(),
+        std::numeric_limits<std::uint32_t>::max());
+    EXPECT_EQ(id, "m18446744073709551615 pair=4294967295");
+    EXPECT_EQ(id.size(), 37u);
+    EXPECT_EQ(tryParsePoolRecordPair(id),
+              std::numeric_limits<std::uint32_t>::max());
+    EXPECT_EQ(tryParsePoolRecordPair(poolRecordId(0, 0)), 0u);
 }
 
 TEST_F(ArchiveTest, PoolFileStaysGroupedAcrossReopen)

@@ -153,6 +153,12 @@ widenings()
     return obs::metrics().counter("dna.msa_band_widenings_total").value();
 }
 
+std::uint64_t
+retries()
+{
+    return obs::metrics().counter("dna.msa_band_retries_total").value();
+}
+
 /** True iff the kernel's profile equals the reference's, count for count. */
 ::testing::AssertionResult
 sameProfile(const ProfileMsa &msa, const ReferenceProfileMsa &ref)
@@ -175,11 +181,34 @@ sameProfile(const ProfileMsa &msa, const ReferenceProfileMsa &ref)
     return ::testing::AssertionSuccess();
 }
 
+/** The band a read was aligned in: guided, its wider retry, or full. */
+enum class Rung { Guided, Retry, FullWidth };
+
+/**
+ * Add @p read to both MSAs; checks the profiles still match and returns
+ * the rung of the band ladder the kernel's alignment was proved on.
+ */
+Rung
+addToBoth(ProfileMsa &msa, ReferenceProfileMsa &ref, const Strand &read)
+{
+    const std::uint64_t retries_before = retries();
+    const std::uint64_t widenings_before = widenings();
+    msa.addRead(read);
+    ref.addRead(read);
+    EXPECT_TRUE(sameProfile(msa, ref));
+    const std::uint64_t retried = retries() - retries_before;
+    const std::uint64_t widened = widenings() - widenings_before;
+    EXPECT_LE(retried + widened, 1u);
+    return widened > 0 ? Rung::FullWidth
+                       : retried > 0 ? Rung::Retry : Rung::Guided;
+}
+
 TEST(ProfileMsaBand, MatchesFullDpReferenceOnSeededClusters)
 {
     VirtualWetlabConfig wetlab_cfg;
     std::size_t clusters = 0, reads = 0;
     const std::uint64_t widenings_before = widenings();
+    const std::uint64_t retries_before = retries();
     for (const bool wetlab : {false, true}) {
         for (const double rate : {0.03, 0.06, 0.10, 0.15}) {
             wetlab_cfg.base_error_rate = rate;
@@ -216,8 +245,93 @@ TEST(ProfileMsaBand, MatchesFullDpReferenceOnSeededClusters)
         }
     }
     EXPECT_EQ(clusters, 72u);
+    // A band centred on the diagonal reran 76 of these reads at full
+    // width; following the majority columns must not rerun more.
+    const std::uint64_t widened = widenings() - widenings_before;
+    EXPECT_LE(widened, 76u);
     std::cout << reads << " reads in " << clusters << " clusters, "
-              << widenings() - widenings_before << " widened\n";
+              << retries() - retries_before << " retried, " << widened
+              << " widened\n";
+}
+
+TEST(ProfileMsaBand, MatchesFullDpReferenceOnShortIndelHeavyStrands)
+{
+    // Short strands under channels dominated by one kind of indel:
+    // insertion-heavy reads give the profile many columns that are not
+    // majority ones, so the band's edges stall often, and both kinds
+    // stray far from the centre.  The profile must match the reference
+    // after every read.
+    const IidChannel insertion_heavy(IidChannelConfig{0.12, 0.03, 0.03});
+    const IidChannel deletion_heavy(IidChannelConfig{0.03, 0.12, 0.03});
+    Rng rng(20);
+    std::size_t reads = 0;
+    const std::uint64_t retries_before = retries();
+    const std::uint64_t widenings_before = widenings();
+    for (std::size_t cluster = 0; reads < 100000; ++cluster) {
+        const Channel &channel =
+            cluster % 2 == 0 ? static_cast<const Channel &>(insertion_heavy)
+                             : static_cast<const Channel &>(deletion_heavy);
+        const auto length = static_cast<std::size_t>(rng.range(8, 70));
+        const Strand original = strand::random(rng, length);
+        ProfileMsa msa;
+        ReferenceProfileMsa ref;
+        for (std::size_t r = 0; r < 25; ++r) {
+            const Strand read = channel.transmit(original, rng);
+            if (read.empty())
+                continue;
+            msa.addRead(read);
+            ref.addRead(read);
+            ASSERT_TRUE(sameProfile(msa, ref))
+                << channel.name() << " cluster " << cluster << " length "
+                << length << " after read " << r;
+            ++reads;
+        }
+    }
+    std::cout << reads << " reads, " << retries() - retries_before
+              << " retried, " << widenings() - widenings_before
+              << " widened\n";
+}
+
+TEST(ProfileMsaBand, ReadsAcrossInsertionColumnsTakeEachRung)
+{
+    // Four clean copies and one read carrying 25 inserted bases give a
+    // profile of 225 columns, 200 of them majority ones: across the 25
+    // insertion columns both band edges stall.
+    Rng rng(24);
+    const Strand original = strand::random(rng, 200);
+    const Strand inserted = strand::random(rng, 25);
+    ProfileMsa msa;
+    ReferenceProfileMsa ref;
+    for (int r = 0; r < 4; ++r)
+        addToBoth(msa, ref, original);
+    addToBoth(msa, ref, original.substr(0, 40) + inserted + original.substr(40));
+    ASSERT_EQ(msa.numColumns(), 225u);
+
+    // A clean copy gaps the insertion columns and stays on the centre.
+    EXPECT_EQ(addToBoth(msa, ref, original), Rung::Guided);
+    // Eight bases lost before the insertion columns and given back by a
+    // tail: the read gaps those columns on the band's left edge.
+    EXPECT_EQ(addToBoth(msa, ref,
+                        original.substr(0, 30) + original.substr(38) +
+                            strand::random(rng, 8)),
+              Rung::Guided);
+    // The same insertion, its length given back by a lost tail: the
+    // read runs 25 above the centre from the insertion on, outside the
+    // guided band but inside the retry's 33 more (the profile now has
+    // 33 columns that are not majority ones).
+    EXPECT_EQ(addToBoth(msa, ref,
+                        original.substr(0, 40) + inserted +
+                            original.substr(40, 135)),
+              Rung::Retry);
+    // Twenty more inserted bases and twenty more lost: 45 above the
+    // centre, beyond the retry's 41 too.
+    EXPECT_EQ(addToBoth(msa, ref,
+                        original.substr(0, 40) + inserted +
+                            strand::random(rng, 20) + original.substr(40, 115)),
+              Rung::FullWidth);
+    EXPECT_EQ(msa.consensus(original.size()), original);
+    EXPECT_EQ(msa.consensus(original.size()),
+              ref.consensus(original.size()));
 }
 
 /** Four clean copies of @p original, then @p read; checks it widened. */
@@ -238,6 +352,75 @@ expectWidenedAndExact(const Strand &original, const Strand &read)
     EXPECT_EQ(msa.consensus(original.size()),
               ref.consensus(original.size()));
     EXPECT_EQ(msa.consensus(original.size()), original);
+}
+
+/**
+ * The reads of one seeded stall case: clean copies of a strand, then
+ * fewer copies carrying an insertion block (so its columns are not
+ * majority ones and the band's edges stall across them), then a probe
+ * read cut from either with three block edits of 8-14 bases, about the
+ * band's slack.
+ */
+std::vector<Strand>
+stallCaseReads(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto length = static_cast<std::size_t>(rng.range(60, 140));
+    const Strand original = strand::random(rng, length);
+    const std::int64_t clean = rng.range(2, 6);
+    const std::int64_t carriers = rng.range(1, clean - 1);
+    const auto at = static_cast<std::size_t>(rng.below(length + 1));
+    const auto block = static_cast<std::size_t>(rng.range(3, 35));
+    const Strand carrier =
+        original.substr(0, at) + strand::random(rng, block) + original.substr(at);
+    std::vector<Strand> reads(static_cast<std::size_t>(clean), original);
+    reads.insert(reads.end(), static_cast<std::size_t>(carriers), carrier);
+
+    Strand probe = rng.chance(0.5) ? carrier : original;
+    for (int edit = 0; edit < 3; ++edit) {
+        const auto pos = static_cast<std::size_t>(rng.below(probe.size() + 1));
+        const auto size = static_cast<std::size_t>(rng.range(8, 14));
+        if (rng.chance(0.5))
+            probe.erase(pos, size);
+        else
+            probe.insert(pos, strand::random(rng, size));
+    }
+    if (!probe.empty())
+        reads.push_back(probe);
+    return reads;
+}
+
+TEST(ProfileMsaBand, BlockEditsAcrossInsertionColumnsMatchReference)
+{
+    // Each probe must match the reference on whichever rung proved it.
+    // A bound that misses a way out of the band through a stalled edge
+    // shows up here as a wrong profile: a kernel that reads the stale
+    // cell under a stalled left edge fails several cases below 2000,
+    // and one whose bound drops the diagonal out of a stalled right
+    // edge fails case 28986, the first such case past 2000 (the
+    // bound's slack hides that gap unless the path leaves the band by
+    // one column, on steps the bound scores exactly).
+    std::vector<std::uint64_t> cases;
+    for (std::uint64_t seed = 1; seed <= 2000; ++seed)
+        cases.push_back(seed);
+    cases.push_back(28986);
+    std::array<std::size_t, 3> rungs{};
+    for (const std::uint64_t seed : cases) {
+        const std::vector<Strand> reads = stallCaseReads(seed);
+        ProfileMsa msa;
+        ReferenceProfileMsa ref;
+        Rung probe_rung = Rung::Guided;
+        for (const Strand &read : reads)
+            probe_rung = addToBoth(msa, ref, read);
+        ++rungs[static_cast<std::size_t>(probe_rung)];
+        ASSERT_TRUE(sameProfile(msa, ref)) << "case " << seed;
+    }
+    // The bound must stay as tight as when this test was written: a
+    // looser one (say, one that counts the up move out of a stalled
+    // left edge as leaving the band) sends more probes to a rerun.
+    EXPECT_LE(rungs[1] + rungs[2], 685u);
+    std::cout << "probes: " << rungs[0] << " guided, " << rungs[1]
+              << " retried, " << rungs[2] << " widened\n";
 }
 
 TEST(ProfileMsaBand, DeletionBlockForcesWideningAndMatchesReference)
