@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "util/thread_pool.hh"
 
 namespace dnastore::server
 {
@@ -67,16 +68,16 @@ Scheduler::Scheduler(Backend &backend, const SchedulerConfig &config)
     : backend_(backend)
     , config_(config)
     , metrics_(schedulerMetrics())
-    , pool_(config.num_threads)
+    , max_running_(config.num_threads != 0 ? config.num_threads
+                                           : sharedPool().size())
 {
+    (void)sharedPool(); // Start the workers now, not on the first request.
 }
 
 Scheduler::~Scheduler()
 {
     beginDrain();
     drainWait();
-    // pool_ (declared last) is destroyed first, joining the workers
-    // while the queues and mutex are still alive.
 }
 
 ServerStatus
@@ -160,13 +161,9 @@ Scheduler::submitPut(std::uint64_t client_id, std::string name,
         const ServerStatus admit = admitLocked(client_id);
         if (admit != ServerStatus::Ok)
             return admit;
-        auto job = std::make_shared<PutJob>();
-        job->client_id = client_id;
-        job->name = std::move(name);
-        job->data = std::move(data);
-        job->done = std::move(done);
-        job->submit_us = obs::traceNowMicros();
-        put_queue_.push_back(std::move(job));
+        put_queue_.push_back(std::make_shared<PutJob>(
+            PutJob{client_id, std::move(name), std::move(data),
+                   std::move(done), obs::traceNowMicros()}));
         pumpLocked(work);
     }
     launch(work);
@@ -176,41 +173,28 @@ Scheduler::submitPut(std::uint64_t client_id, std::string name,
 ServerStatus
 Scheduler::submitLs(std::uint64_t client_id, MetaCallback done)
 {
-    PendingWork work;
-    {
-        MutexLock lock(mu_);
-        const ServerStatus admit = admitLocked(client_id);
-        if (admit != ServerStatus::Ok)
-            return admit;
-        auto job = std::make_shared<MetaJob>();
-        job->client_id = client_id;
-        job->is_stat = false;
-        job->done = std::move(done);
-        job->submit_us = obs::traceNowMicros();
-        meta_queue_.push_back(std::move(job));
-        pumpLocked(work);
-    }
-    launch(work);
-    return ServerStatus::Ok;
+    return submitMeta(MetaJob{client_id, false, {}, std::move(done)});
 }
 
 ServerStatus
 Scheduler::submitStat(std::uint64_t client_id, std::string name,
                       MetaCallback done)
 {
+    return submitMeta(
+        MetaJob{client_id, true, std::move(name), std::move(done)});
+}
+
+ServerStatus
+Scheduler::submitMeta(MetaJob job)
+{
     PendingWork work;
     {
         MutexLock lock(mu_);
-        const ServerStatus admit = admitLocked(client_id);
+        const ServerStatus admit = admitLocked(job.client_id);
         if (admit != ServerStatus::Ok)
             return admit;
-        auto job = std::make_shared<MetaJob>();
-        job->client_id = client_id;
-        job->is_stat = true;
-        job->name = std::move(name);
-        job->done = std::move(done);
-        job->submit_us = obs::traceNowMicros();
-        meta_queue_.push_back(std::move(job));
+        job.submit_us = obs::traceNowMicros();
+        meta_queue_.push_back(std::make_shared<MetaJob>(std::move(job)));
         pumpLocked(work);
     }
     launch(work);
@@ -226,23 +210,25 @@ Scheduler::pumpLocked(PendingWork &work)
         // Put priority: no new reads start while a put is pending, and
         // the put itself waits for active reads to drain (Archive::put
         // mutates, gets are const).
-        if (active_reads_ == 0) {
+        if (running_ == 0) {
             work.put = std::move(put_queue_.front());
             put_queue_.pop_front();
             put_active_ = true;
+            ++running_;
             metrics_.queue_wait_seconds.observe(
                 secondsSince(work.put->submit_us));
         }
         return;
     }
-    while (!meta_queue_.empty()) {
+    while (running_ < max_running_ && !meta_queue_.empty()) {
         std::shared_ptr<MetaJob> job = std::move(meta_queue_.front());
         meta_queue_.pop_front();
-        ++active_reads_;
+        ++running_;
         metrics_.queue_wait_seconds.observe(secondsSince(job->submit_us));
         work.metas.push_back(std::move(job));
     }
-    while (running_batches_ < config_.max_concurrent_batches &&
+    while (running_ < max_running_ &&
+           running_batches_ < config_.max_concurrent_batches &&
            !get_queue_.empty()) {
         std::vector<std::string> names;
         while (names.size() < config_.batch_max && !get_queue_.empty()) {
@@ -260,7 +246,7 @@ Scheduler::pumpLocked(PendingWork &work)
         if (names.empty())
             break;
         ++running_batches_;
-        ++active_reads_;
+        ++running_;
         ++counters_.batches;
         counters_.batched_gets += names.size();
         metrics_.batches_total.add(1);
@@ -272,22 +258,20 @@ Scheduler::pumpLocked(PendingWork &work)
 void
 Scheduler::launch(PendingWork &work)
 {
-    if (work.put) {
-        (void)pool_.submit([this, job = std::move(work.put)]() mutable {
-            runPut(std::move(job));
-        });
-        work.put.reset();
-    }
+    // The jobs move on into run*, which drop them before finish().
+    if (work.put)
+        (void)sharedPool().submit(
+            [this, job = std::move(work.put)]() mutable {
+                runPut(std::move(job));
+            });
     for (std::shared_ptr<MetaJob> &job : work.metas)
-        (void)pool_.submit([this, job = std::move(job)]() mutable {
+        (void)sharedPool().submit([this, job = std::move(job)]() mutable {
             runMeta(std::move(job));
         });
-    work.metas.clear();
     for (std::vector<std::string> &names : work.batches)
-        (void)pool_.submit([this, names = std::move(names)] {
+        (void)sharedPool().submit([this, names = std::move(names)] {
             runBatch(names);
         });
-    work.batches.clear();
 }
 
 void
@@ -307,31 +291,20 @@ Scheduler::runBatch(const std::vector<std::string> &names)
             waiters[i] = std::move(it->second.waiters);
             groups_.erase(it);
         }
-        if (running_batches_ > 0)
-            --running_batches_;
-        if (active_reads_ > 0)
-            --active_reads_;
+        --running_batches_;
     }
 
+    std::vector<std::uint64_t> clients;
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (GetWaiter &waiter : waiters[i]) {
             metrics_.get_seconds.observe(secondsSince(waiter.submit_us));
             if (waiter.done)
                 waiter.done(results[i]);
+            clients.push_back(waiter.client_id);
         }
     }
-
-    PendingWork work;
-    {
-        MutexLock lock(mu_);
-        for (std::size_t i = 0; i < names.size(); ++i)
-            for (const GetWaiter &waiter : waiters[i])
-                releaseLocked(waiter.client_id);
-        pumpLocked(work);
-        if (idleLocked())
-            idle_cv_.notifyAll();
-    }
-    launch(work);
+    waiters.clear();
+    finish(clients);
 }
 
 void
@@ -341,17 +314,9 @@ Scheduler::runPut(std::shared_ptr<PutJob> job)
     metrics_.put_seconds.observe(secondsSince(job->submit_us));
     if (job->done)
         job->done(result);
-
-    PendingWork work;
-    {
-        MutexLock lock(mu_);
-        put_active_ = false;
-        releaseLocked(job->client_id);
-        pumpLocked(work);
-        if (idleLocked())
-            idle_cv_.notifyAll();
-    }
-    launch(work);
+    const std::uint64_t client = job->client_id;
+    job.reset();
+    finish({client});
 }
 
 void
@@ -363,27 +328,40 @@ Scheduler::runMeta(std::shared_ptr<MetaJob> job)
     metrics_.meta_seconds.observe(secondsSince(job->submit_us));
     if (job->done)
         job->done(result);
+    const std::uint64_t client = job->client_id;
+    job.reset();
+    finish({client});
+}
 
+void
+Scheduler::finish(const std::vector<std::uint64_t> &clients)
+{
     PendingWork work;
     {
         MutexLock lock(mu_);
-        if (active_reads_ > 0)
-            --active_reads_;
-        releaseLocked(job->client_id);
+        // Nothing else runs beside a put, so while put_active_ is set
+        // the finishing task is the put.
+        put_active_ = false;
+        for (const std::uint64_t client : clients)
+            releaseLocked(client);
+        --running_;
         pumpLocked(work);
+        // Notified under mu_: a drain waiter cannot return (and destroy
+        // idle_cv_) until this section has ended.
         if (idleLocked())
             idle_cv_.notifyAll();
     }
-    launch(work);
+    // Work handed out above is counted: it keeps the scheduler alive.
+    if (!work.empty())
+        launch(work);
 }
 
 bool
 Scheduler::idleLocked() const
 {
-    return inflight_total_ == 0 && active_reads_ == 0 && !put_active_ &&
-           running_batches_ == 0 && groups_.empty() &&
-           get_queue_.empty() && put_queue_.empty() &&
-           meta_queue_.empty();
+    // A queued request stays admitted until its task's finish(), so
+    // empty queues follow from inflight_total_ == 0.
+    return inflight_total_ == 0 && running_ == 0;
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * The dnastored request scheduler (docs/SERVER.md): admission control,
- * get-coalescing and pool batching over the scheduler's own ThreadPool
- * (not the process-wide one behind parallelFor: drain joins it).
+ * get-coalescing and pool batching, with its tasks on the process-wide
+ * pool behind parallelFor (sharedPool()).
  *
  * Decode is seconds-per-object (clustering + consensus dominate), so
  * the scheduler's job is to do strictly less decode work than the
@@ -45,7 +45,6 @@
 #include "server/backend.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
-#include "util/thread_pool.hh"
 
 namespace dnastore::server
 {
@@ -55,7 +54,7 @@ struct SchedulerMetrics; // Process-global obs handles (scheduler.cc).
 /** Scheduler knobs (daemon flags map onto these 1:1). */
 struct SchedulerConfig
 {
-    std::size_t num_threads = 0; //!< Pool workers; 0 = hardware.
+    std::size_t num_threads = 0; //!< Max running tasks; 0 = pool size.
     std::size_t max_inflight = 64;       //!< Global admission limit.
     std::size_t per_client_inflight = 8; //!< Per-connection quota.
     std::size_t batch_max = 4; //!< Max distinct objects per fetch batch.
@@ -77,9 +76,9 @@ struct SchedulerCounters
 };
 
 /**
- * The scheduler.  One instance per server; owns the worker pool.
- * Destruction drains: outstanding work completes and callbacks fire
- * before the destructor returns.
+ * The scheduler.  One instance per server.  Destruction drains:
+ * outstanding work completes and callbacks fire before the destructor
+ * returns.
  */
 class Scheduler
 {
@@ -131,9 +130,6 @@ class Scheduler
     /** Snapshot of the instance-local totals. */
     [[nodiscard]] SchedulerCounters counters() const;
 
-    /** Worker threads backing this scheduler. */
-    std::size_t numThreads() const { return pool_.size(); }
-
   private:
     /** One admitted get waiting on (or riding) a fetch. */
     struct GetWaiter
@@ -179,7 +175,11 @@ class Scheduler
         std::shared_ptr<PutJob> put;
         std::vector<std::shared_ptr<MetaJob>> metas;
         std::vector<std::vector<std::string>> batches;
+        bool empty() const { return !put && metas.empty() && batches.empty(); }
     };
+
+    /** submitLs and submitStat: admit and queue @p job. */
+    [[nodiscard]] ServerStatus submitMeta(MetaJob job);
 
     /** Admission check; bumps inflight counts when admitting. */
     [[nodiscard]] ServerStatus admitLocked(std::uint64_t client_id)
@@ -195,10 +195,18 @@ class Scheduler
     /** Release one admitted request's quota slots. */
     void releaseLocked(std::uint64_t client_id) DNASTORE_REQUIRES(mu_);
 
-    /** Pool-worker bodies. */
+    /** Pool-worker bodies; each ends in finish(). */
     void runBatch(const std::vector<std::string> &names);
     void runPut(std::shared_ptr<PutJob> job);
     void runMeta(std::shared_ptr<MetaJob> job);
+
+    /**
+     * The one way a task ends: one critical section releases @p clients'
+     * quota, uncounts the task and pumps.  The scheduler may be destroyed
+     * once that section ends, so the caller has already dropped its jobs
+     * and callbacks.
+     */
+    void finish(const std::vector<std::uint64_t> &clients);
 
     [[nodiscard]] bool idleLocked() const DNASTORE_REQUIRES(mu_);
 
@@ -221,15 +229,14 @@ class Scheduler
     std::size_t inflight_total_ DNASTORE_GUARDED_BY(mu_) = 0;
     std::map<std::uint64_t, std::size_t> per_client_
         DNASTORE_GUARDED_BY(mu_);
+    /** Most tasks running at once (config num_threads, resolved). */
+    const std::size_t max_running_;
+    /** Tasks counted from pumpLocked until their finish(). */
+    std::size_t running_ DNASTORE_GUARDED_BY(mu_) = 0;
     std::size_t running_batches_ DNASTORE_GUARDED_BY(mu_) = 0;
-    std::size_t active_reads_ DNASTORE_GUARDED_BY(mu_) = 0;
     bool put_active_ DNASTORE_GUARDED_BY(mu_) = false;
     bool draining_ DNASTORE_GUARDED_BY(mu_) = false;
     SchedulerCounters counters_ DNASTORE_GUARDED_BY(mu_);
-
-    // Declared last so workers join (and all run* bodies finish) before
-    // any other member dies.
-    ThreadPool pool_;
 };
 
 } // namespace dnastore::server

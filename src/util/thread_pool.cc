@@ -125,6 +125,8 @@ struct SharedPool
 
 std::atomic<SharedPool *> shared_pool{nullptr};
 
+} // namespace
+
 ThreadPool &
 sharedPool()
 {
@@ -144,8 +146,6 @@ sharedPool()
     }
     return current->pool;
 }
-
-} // namespace
 
 ParallelError::ParallelError(std::vector<std::string> messages,
                              std::size_t total_chunks)
@@ -241,7 +241,9 @@ void
 parallelFor(std::size_t width, std::size_t n,
             const std::function<void(std::size_t)> &fn)
 {
-    if (width == 0)
+    // Resolve width 0 only for a loop a helper could share, so an
+    // inline loop never starts the pool.
+    if (width == 0 && n > 1)
         width = sharedPool().size();
     const std::size_t threads = std::min(width, n);
     if (threads <= 1) {

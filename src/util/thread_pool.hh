@@ -126,22 +126,28 @@ class ThreadPool
 };
 
 /**
+ * The process-wide pool: hardware_concurrency() workers, started on
+ * first use and never destroyed.  parallelFor's helpers and the server
+ * scheduler's tasks run here; a forked child starts its own.
+ */
+ThreadPool &sharedPool();
+
+/**
  * Run fn(i) for every i in [0, n) on at most @p width threads; width 0
- * means the size of the process-wide pool (hardware_concurrency()
- * workers, started on first use and never destroyed).
+ * means sharedPool().size().
  *
  * When min(width, n) <= 1 the loop runs on the caller in index order,
- * and the first exception propagates unchanged.  Otherwise [0, n)
- * splits into min(n, 4 * width) contiguous chunks, which the caller and
- * min(width, n) - 1 helper tasks on the shared pool claim in order; the
- * caller returns once every chunk has finished.  A chunk stops at its
- * first throwing iteration.  If exactly one chunk throws, that
- * exception is rethrown unchanged; if several throw, a ParallelError
- * aggregating every failure is thrown instead.
+ * the first exception propagates unchanged, and no pool is touched.
+ * Otherwise [0, n) splits into min(n, 4 * width) contiguous chunks,
+ * which the caller and min(width, n) - 1 helper tasks on the shared
+ * pool claim in order; the caller returns once every chunk has
+ * finished.  A chunk stops at its first throwing iteration.  If exactly
+ * one chunk throws, that exception is rethrown unchanged; if several
+ * throw, a ParallelError aggregating every failure is thrown instead.
  *
  * The caller always works and waits only on chunks already claimed, so
  * a parallelFor nested inside another's body (or inside any pool task)
- * cannot deadlock.  A forked child starts its own pool.
+ * cannot deadlock.
  */
 void parallelFor(std::size_t width, std::size_t n,
                  const std::function<void(std::size_t)> &fn);

@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -69,6 +71,7 @@ class FakeBackend final : public Backend
         {
             MutexLock lock(mu_);
             ++fetches_;
+            peak_calls_ = std::max(peak_calls_, ++running_fetches_);
             batch_sizes_.push_back(names.size());
             for (const std::string &name : names)
                 ops_.push_back("fetch:" + name);
@@ -76,6 +79,7 @@ class FakeBackend final : public Backend
         fetch_gate.await();
         std::vector<FetchResult> results(names.size());
         MutexLock lock(mu_);
+        --running_fetches_;
         for (std::size_t i = 0; i < names.size(); ++i) {
             auto it = objects_.find(names[i]);
             if (it == objects_.end()) {
@@ -95,6 +99,7 @@ class FakeBackend final : public Backend
     {
         StoreResult result;
         MutexLock lock(mu_);
+        countCallLocked();
         ops_.push_back("store:" + name);
         if (objects_.count(name) != 0) {
             result.status = ServerStatus::AlreadyExists;
@@ -112,6 +117,7 @@ class FakeBackend final : public Backend
     {
         MetaResult result;
         MutexLock lock(mu_);
+        countCallLocked();
         ops_.push_back("ls");
         result.status = ServerStatus::Ok;
         result.json = "{\"schema\":\"dnastore.archive_ls\",\"num_objects\":" +
@@ -124,6 +130,7 @@ class FakeBackend final : public Backend
     {
         MetaResult result;
         MutexLock lock(mu_);
+        countCallLocked();
         ops_.push_back("stat:" + name);
         if (objects_.count(name) == 0) {
             result.status = ServerStatus::NotFound;
@@ -157,16 +164,34 @@ class FakeBackend final : public Backend
         return ops_;
     }
 
+    /** Most backend calls that were ever in progress at once. */
+    std::size_t
+    peakCalls() const
+    {
+        MutexLock lock(mu_);
+        return peak_calls_;
+    }
+
     /** Fetches block here after being counted; open by default. */
     Gate fetch_gate;
 
   private:
+    /** A store, list or stat holds mu_ throughout, so it overlaps only
+     *  fetches. */
+    void
+    countCallLocked() DNASTORE_REQUIRES(mu_)
+    {
+        peak_calls_ = std::max(peak_calls_, running_fetches_ + 1);
+    }
+
     mutable Mutex mu_;
     std::map<std::string, std::vector<std::uint8_t>> objects_
         DNASTORE_GUARDED_BY(mu_);
     std::uint64_t fetches_ DNASTORE_GUARDED_BY(mu_) = 0;
     std::vector<std::size_t> batch_sizes_ DNASTORE_GUARDED_BY(mu_);
     std::vector<std::string> ops_ DNASTORE_GUARDED_BY(mu_);
+    std::size_t running_fetches_ DNASTORE_GUARDED_BY(mu_) = 0;
+    std::size_t peak_calls_ DNASTORE_GUARDED_BY(mu_) = 0;
 };
 
 } // namespace dnastore::server::testing

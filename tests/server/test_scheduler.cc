@@ -6,15 +6,31 @@
  * docs/SERVER.md promises.
  */
 
+#include <dirent.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "server/scheduler.hh"
 #include "server/fake_backend.hh"
+#include "util/thread_pool.hh"
+
+#if defined(__SANITIZE_THREAD__)
+#define DNASTORE_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DNASTORE_TEST_TSAN 1
+#endif
+#endif
 
 namespace dnastore::server
 {
@@ -327,6 +343,147 @@ TEST(Scheduler, DestructorDrainsOutstandingWork)
         // No explicit drain: the destructor must deliver everything.
     }
     EXPECT_EQ(delivered.load(), 8);
+}
+
+TEST(Scheduler, DestroyedRightAfterLastCallback)
+{
+    // Each scheduler dies as soon as its last callback has run, while
+    // its pool tasks may still be returning: by then they must have
+    // dropped every callback and touch nothing of the scheduler's.  The
+    // callbacks share one State, destroyed by whichever thread drops the
+    // last of them, so a late drop races with the check below (TSan) or
+    // writes to freed memory (ASan), as would a late touch of the
+    // heap-allocated scheduler.
+    struct Outcome
+    {
+        std::vector<std::uint8_t> got;
+        bool stored = false;
+        std::string listing;
+        bool released = false;
+    };
+    struct State
+    {
+        explicit State(Outcome &out) : outcome(out) {}
+        ~State() { outcome.released = true; }
+        Outcome &outcome;
+    };
+    for (int i = 0; i < 300; ++i) {
+        FakeBackend backend;
+        backend.add("a", bytes("alpha"));
+        auto outcome = std::make_unique<Outcome>();
+        auto sched = std::make_unique<Scheduler>(backend, SchedulerConfig{});
+        {
+            auto state = std::make_shared<State>(*outcome);
+            ASSERT_EQ(sched->submitGet(1, "a",
+                                       [state](const FetchResult &r) {
+                                           state->outcome.got = r.data;
+                                       }),
+                      ServerStatus::Ok);
+            ASSERT_EQ(sched->submitPut(2, "p", bytes("payload"),
+                                       [state](const StoreResult &r) {
+                                           state->outcome.stored = r.ok();
+                                       }),
+                      ServerStatus::Ok);
+            ASSERT_EQ(sched->submitLs(3,
+                                      [state](const MetaResult &r) {
+                                          state->outcome.listing = r.json;
+                                      }),
+                      ServerStatus::Ok);
+        }
+        sched.reset(); // No drainWait: the destructor drains.
+        EXPECT_TRUE(outcome->released) << "iteration " << i;
+        EXPECT_EQ(outcome->got, bytes("alpha")) << "iteration " << i;
+        EXPECT_TRUE(outcome->stored) << "iteration " << i;
+        EXPECT_FALSE(outcome->listing.empty()) << "iteration " << i;
+    }
+}
+
+TEST(Scheduler, NumThreadsCapsRunningTasks)
+{
+    FakeBackend backend;
+    backend.add("a", bytes("a"));
+    backend.add("b", bytes("b"));
+    backend.fetch_gate.close();
+
+    SchedulerConfig config;
+    config.num_threads = 1;
+    config.max_concurrent_batches = 2;
+    Scheduler sched(backend, config);
+
+    GetProbe get_a;
+    ASSERT_EQ(sched.submitGet(1, "a", get_a.callback()), ServerStatus::Ok);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (backend.fetches() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(backend.fetches(), 1u);
+
+    // A batch slot is free, but the one task slot is taken: neither the
+    // get nor the listing may reach the backend while "a" is held.
+    GetProbe get_b;
+    ASSERT_EQ(sched.submitGet(1, "b", get_b.callback()), ServerStatus::Ok);
+    std::atomic<bool> ls_ok{false};
+    ASSERT_EQ(sched.submitLs(1,
+                             [&](const MetaResult &r) {
+                                 ls_ok.store(r.ok());
+                             }),
+              ServerStatus::Ok);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(backend.ops(), std::vector<std::string>{"fetch:a"});
+
+    backend.fetch_gate.open();
+    sched.drainWait();
+    EXPECT_TRUE(get_a.called.load());
+    EXPECT_TRUE(get_b.called.load());
+    EXPECT_TRUE(ls_ok.load());
+    EXPECT_EQ(backend.ops().size(), 3u);
+    EXPECT_EQ(backend.peakCalls(), 1u);
+}
+
+TEST(Scheduler, SharesTheParallelForPool)
+{
+#if defined(DNASTORE_TEST_TSAN)
+    GTEST_SKIP() << "ThreadSanitizer runs a thread of its own and does "
+                    "not support threads after a multi-threaded fork";
+#endif
+    const auto threads = [] {
+        std::size_t count = 0;
+        DIR *dir = ::opendir("/proc/self/task");
+        if (dir == nullptr)
+            return count;
+        while (const dirent *entry = ::readdir(dir))
+            count += entry->d_name[0] != '.';
+        ::closedir(dir);
+        return count;
+    };
+    if (threads() == 0)
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+
+    // In a forked child (one thread, no pool yet), a scheduler that
+    // served a get and a width-0 loop leave the caller plus one pool.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::alarm(30);
+        FakeBackend backend;
+        backend.add("a", bytes("a"));
+        Scheduler sched(backend, SchedulerConfig{});
+        GetProbe get;
+        if (sched.submitGet(1, "a", get.callback()) != ServerStatus::Ok)
+            ::_exit(2);
+        sched.drainWait();
+        std::atomic<std::size_t> ran{0};
+        parallelFor(0, 64, [&](std::size_t) { ran.fetch_add(1); });
+        const bool ok = get.called.load() && ran.load() == 64 &&
+                        threads() == 1 + sharedPool().size();
+        ::_exit(ok ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "child died on a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "the scheduler runs a pool besides the shared one";
 }
 
 } // namespace

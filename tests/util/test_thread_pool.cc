@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -457,6 +458,39 @@ TEST(ParallelFor, ForkedChildStartsItsOwnPool)
     ASSERT_TRUE(WIFEXITED(status)) << "child died on a signal";
     EXPECT_EQ(WEXITSTATUS(status), 0)
         << "the child's loop never ran on a second thread";
+}
+
+TEST(ParallelFor, InlineLoopStartsNoPool)
+{
+#if defined(DNASTORE_TEST_TSAN)
+    GTEST_SKIP() << "ThreadSanitizer runs a thread of its own and does "
+                    "not support threads after a multi-threaded fork";
+#endif
+    DIR *tasks = ::opendir("/proc/self/task");
+    if (tasks == nullptr)
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    ::closedir(tasks);
+
+    // A forked child has one thread and no pool of its own yet; a
+    // width-0 loop over one item must run inline without starting one.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::alarm(30);
+        std::size_t ran = 0;
+        parallelFor(0, 1, [&](std::size_t) { ++ran; });
+        std::size_t threads = 0;
+        DIR *dir = ::opendir("/proc/self/task");
+        while (const dirent *entry = ::readdir(dir))
+            threads += entry->d_name[0] != '.';
+        ::closedir(dir);
+        ::_exit(ran == 1 && threads == 1 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "child died on a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "an inline loop started the shared pool";
 }
 
 } // namespace

@@ -133,8 +133,9 @@ main(int argc, char **argv)
     config.scheduler.max_concurrent_batches =
         static_cast<std::size_t>(args.getInt("max-batches", 2));
 
-    // --threads is both the scheduler's worker count and each put's
-    // shard-encode width; 0 means every core for both.
+    // --threads caps the scheduler's concurrent tasks on the shared
+    // pool and is each put's shard-encode width; 0 means every core for
+    // both.
     server::ArchiveBackend backend(*opened.archive,
                                    retrievalConfig(args),
                                    config.scheduler.num_threads);
