@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the computational kernels the
  * pipeline's complexity analysis rests on (paper Section IX-A):
  * edit-distance variants, signature computation and comparison,
- * Reed-Solomon coding, alignment, reconstruction and the GRU step.
+ * Reed-Solomon coding, alignment, reconstruction, the GRU step and
+ * wetlab read preprocessing.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +21,7 @@
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
 #include "simulator/iid_channel.hh"
+#include "wetlab/preprocess.hh"
 
 using namespace dnastore;
 
@@ -219,6 +221,34 @@ BM_GruStep(benchmark::State &state)
         benchmark::DoNotOptimize(cell.forward(x, h, cache));
 }
 BENCHMARK(BM_GruStep)->Arg(32)->Arg(64)->Arg(128);
+
+void
+BM_PreprocessShard(benchmark::State &state)
+{
+    // One archive shard's reads: 96 strands of 132-nt payload at 12
+    // reads each, through a 3% i.i.d. channel, half of them reverse
+    // complemented; primers located at max_edit 5.
+    Rng rng(10);
+    const PrimerPair pair = PrimerLibrary::design(rng, 2).pairFor(0);
+    IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.03));
+    std::vector<Strand> reads;
+    for (int s = 0; s < 96; ++s) {
+        const Strand tagged = attachPrimers(pair, strand::random(rng, 132));
+        for (int r = 0; r < 12; ++r) {
+            Strand read = channel.transmit(tagged, rng);
+            if (r % 2 == 1)
+                read = strand::reverseComplement(read);
+            reads.push_back(std::move(read));
+        }
+    }
+    WetlabPreprocessConfig config;
+    config.primer_max_edit = 5;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(preprocessReads(reads, pair, config));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(reads.size()));
+}
+BENCHMARK(BM_PreprocessShard)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,6 +1,5 @@
 #include "codec/primer.hh"
 
-#include <limits>
 #include <stdexcept>
 
 #include "dna/distance.hh"
@@ -95,62 +94,6 @@ Strand
 attachPrimers(const PrimerPair &pair, const Strand &payload)
 {
     return pair.forward + payload + pair.reverse;
-}
-
-namespace
-{
-
-/**
- * Best split point for a primer at the front of s: returns the cut
- * position with minimal edit distance between the primer and s[0, cut),
- * scanning cut in [len - slack, len + slack].
- */
-std::optional<std::size_t>
-frontCut(const Strand &primer, const std::string &s, std::size_t max_edit)
-{
-    const std::size_t len = primer.size();
-    std::size_t best_cut = 0;
-    std::size_t best_d = std::numeric_limits<std::size_t>::max();
-    const std::size_t lo = len > max_edit ? len - max_edit : 0;
-    const std::size_t hi = std::min(s.size(), len + max_edit);
-    for (std::size_t cut = lo; cut <= hi; ++cut) {
-        const std::size_t d =
-            boundedLevenshtein(s.substr(0, cut), primer, max_edit);
-        if (d < best_d) {
-            best_d = d;
-            best_cut = cut;
-        }
-    }
-    if (best_d > max_edit)
-        return std::nullopt;
-    return best_cut;
-}
-
-} // namespace
-
-std::optional<Strand>
-stripPrimers(const PrimerPair &pair, const Strand &tagged,
-             std::size_t max_edit)
-{
-    if (tagged.size() < pair.forward.size() + pair.reverse.size())
-        return std::nullopt;
-
-    const auto front = frontCut(pair.forward, tagged, max_edit);
-    if (!front)
-        return std::nullopt;
-
-    // Strip the reverse primer by mirroring the strand.
-    std::string flipped(tagged.rbegin(), tagged.rend());
-    Strand reverse_mirrored(pair.reverse.rbegin(), pair.reverse.rend());
-    const auto back = frontCut(reverse_mirrored, flipped, max_edit);
-    if (!back)
-        return std::nullopt;
-
-    const std::size_t start = *front;
-    const std::size_t end = tagged.size() - *back;
-    if (end <= start)
-        return std::nullopt;
-    return tagged.substr(start, end - start);
 }
 
 } // namespace dnastore

@@ -1,6 +1,7 @@
 /**
  * @file
- * PCR primer design and handling (paper Sections II-E/F and VIII).
+ * PCR primer design and handling (paper Sections II-E/F); locating
+ * primers in sequenced reads (Section VIII) is wetlab/preprocess's job.
  * A pair of ~20-nt primers is the "key" of a stored file: all molecules
  * of the file are tagged with the pair, and PCR amplification of the
  * pair implements random access.  Primers must be mutually distant in
@@ -11,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,15 +82,6 @@ class PrimerLibrary
 
 /** Attach a primer pair around a payload strand (Fig. 2a layout). */
 Strand attachPrimers(const PrimerPair &pair, const Strand &payload);
-
-/**
- * Strip a primer pair from a tagged strand, tolerating up to max_edit
- * edit errors in each primer region.  Returns std::nullopt when either
- * primer cannot be located within tolerance.
- */
-std::optional<Strand>
-stripPrimers(const PrimerPair &pair, const Strand &tagged,
-             std::size_t max_edit);
 
 } // namespace dnastore
 

@@ -27,30 +27,4 @@ std::uint64_t threadCpuNanos();
 /** True when threadCpuNanos() is backed by a real clock. */
 bool threadCpuClockAvailable();
 
-/**
- * Paired wall/CPU stage timer: reset() marks a start point, seconds()
- * reads elapsed thread-CPU seconds since it.  Mirrors util's WallTimer
- * shape so pipeline stages can run both side by side.
- */
-class ThreadCpuTimer
-{
-  public:
-    ThreadCpuTimer() { reset(); }
-
-    void reset() { start_ns_ = threadCpuNanos(); }
-
-    /** Thread-CPU seconds since the last reset(). */
-    double
-    seconds() const
-    {
-        const std::uint64_t now = threadCpuNanos();
-        return now > start_ns_
-            ? static_cast<double>(now - start_ns_) * 1e-9
-            : 0.0;
-    }
-
-  private:
-    std::uint64_t start_ns_ = 0;
-};
-
 } // namespace dnastore::obs

@@ -35,29 +35,5 @@ class WallTimer
     Clock::time_point start;
 };
 
-/**
- * Accumulates elapsed time across multiple start/stop intervals,
- * e.g. to attribute time to a pipeline stage entered repeatedly.
- */
-class StageTimer
-{
-  public:
-    /** Begin an interval. */
-    void begin() { interval.reset(); }
-
-    /** End the current interval, adding it to the accumulated total. */
-    void end() { total += interval.seconds(); }
-
-    /** Accumulated seconds over all closed intervals. */
-    double seconds() const { return total; }
-
-    /** Drop all accumulated time. */
-    void reset() { total = 0.0; }
-
-  private:
-    WallTimer interval;
-    double total = 0.0;
-};
-
 } // namespace dnastore
 

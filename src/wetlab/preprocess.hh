@@ -40,7 +40,9 @@ struct PreprocessResult
  * Preprocess sequencer output for one file (identified by its primer
  * pair).  Orientation is decided by whichever primer matches the read
  * prefix best: the forward primer (read is already 5'->3') or the
- * reverse complement of the reverse primer (read must be flipped).
+ * reverse complement of the reverse primer (read must be flipped); a
+ * tie stays forward.  Each primer is cut at the first least-distance
+ * point within primer_max_edit of its length.
  */
 PreprocessResult
 preprocessFastq(const std::vector<FastqRecord> &records,

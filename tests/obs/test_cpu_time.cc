@@ -1,8 +1,8 @@
 /**
  * @file
- * Per-thread CPU-time accounting: the raw clock, the ThreadCpuTimer,
- * and the cpu_us field spans record into the trace sink — including
- * spans closed on worker threads.
+ * Per-thread CPU-time accounting: the raw clock, its deltas over busy
+ * and sleeping intervals, and the cpu_us field spans record into the
+ * trace sink — including spans closed on worker threads.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@ namespace
 {
 
 using dnastore::obs::Span;
-using dnastore::obs::ThreadCpuTimer;
 using dnastore::obs::TraceEvent;
 using dnastore::obs::TraceSink;
 using dnastore::obs::installTraceSink;
@@ -35,6 +34,13 @@ busyWaitMillis(int ms)
         sink = sink + 1;
 }
 
+/** Thread-CPU seconds the calling thread used since @p start_ns. */
+double
+cpuSecondsSince(std::uint64_t start_ns)
+{
+    return static_cast<double>(threadCpuNanos() - start_ns) * 1e-9;
+}
+
 TEST(ThreadCpuTime, ClockIsMonotonic)
 {
     if (!threadCpuClockAvailable())
@@ -49,14 +55,14 @@ TEST(ThreadCpuTime, BusyWorkDoesNotExceedWall)
 {
     if (!threadCpuClockAvailable())
         GTEST_SKIP() << "CLOCK_THREAD_CPUTIME_ID not available";
-    ThreadCpuTimer timer;
+    const std::uint64_t cpu_start = threadCpuNanos();
     const auto wall_start = std::chrono::steady_clock::now();
     busyWaitMillis(20);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    const double cpu = timer.seconds();
+    const double cpu = cpuSecondsSince(cpu_start);
     EXPECT_GT(cpu, 0.0);
     // A single thread cannot burn more CPU than wall time; allow 20%
     // slop for clock-granularity skew between the two clocks.
@@ -67,11 +73,11 @@ TEST(ThreadCpuTime, SleepAccruesLittleCpu)
 {
     if (!threadCpuClockAvailable())
         GTEST_SKIP() << "CLOCK_THREAD_CPUTIME_ID not available";
-    ThreadCpuTimer timer;
+    const std::uint64_t cpu_start = threadCpuNanos();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     // Sleeping is the canonical cpu << wall case the attribution layer
     // exists to expose; generous bound to stay robust on loaded CI.
-    EXPECT_LT(timer.seconds(), 0.040);
+    EXPECT_LT(cpuSecondsSince(cpu_start), 0.040);
 }
 
 TEST(ThreadCpuTime, SpansRecordCpuMicros)

@@ -122,6 +122,28 @@ TEST(Preprocess, SurvivesSequencingNoise)
         EXPECT_NEAR(static_cast<double>(payload.size()), 80.0, 12.0);
 }
 
+TEST(Preprocess, PrimerErrorsLeavePayloadIntact)
+{
+    Rng rng(7);
+    const auto lib = PrimerLibrary::design(rng, 2);
+    const auto pair = lib.pairFor(0);
+    const Strand payload = strand::random(rng, 80);
+    Strand tagged = attachPrimers(pair, payload);
+    tagged[3] = tagged[3] == 'A' ? 'G' : 'A';      // error in fwd primer
+    tagged.erase(tagged.size() - 5, 1);            // error in rev primer
+    WetlabPreprocessConfig cfg;
+    cfg.primer_max_edit = 4;
+    const auto result = preprocessReads(
+        {tagged, strand::reverseComplement(tagged)}, pair, cfg);
+    EXPECT_EQ(result.rejected, 0u);
+    EXPECT_EQ(result.flipped, 1u);
+    // Both orientations keep the payload intact (errors were in the
+    // primers).
+    ASSERT_EQ(result.reads.size(), 2u);
+    EXPECT_EQ(result.reads[0], payload);
+    EXPECT_EQ(result.reads[1], payload);
+}
+
 TEST(Preprocess, TooShortReadsRejected)
 {
     Fixture f;
