@@ -53,16 +53,6 @@ poolPath(const std::string &dir)
     return dir + "/" + kPoolFile;
 }
 
-/** Independent per-shard seed: decorrelates shards of one retrieval. */
-std::uint64_t
-shardSeed(std::uint64_t base, std::uint32_t pair_id)
-{
-    SplitMix64 mixer(base ^
-                     (static_cast<std::uint64_t>(pair_id) *
-                      0x9e3779b97f4a7c15ULL));
-    return mixer.next();
-}
-
 std::vector<std::uint8_t>
 stringToBytes(const std::string &text)
 {
@@ -555,14 +545,15 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
     outcome.pair_id = shard.pair_id;
     try {
         const PrimerPair pair = publishedLibrary().pairFor(shard.pair_id);
-        Rng rng(shardSeed(config.seed, shard.pair_id));
+        Rng rng(mixSeed(config.seed, shard.pair_id));
 
         // PCR selection: this shard's section of the mixed pool (plus
         // off-target leakage when configured).
         const PcrProduct product =
             amplify(pool_, shard.pair_id, rng, {config.pcr_off_target});
 
-        // Simulated sequencing of the amplified product.
+        // Simulated sequencing of the amplified product, on this thread
+        // (width 1): parallelism lives at the shard level.
         const CoverageModel coverage(config.coverage,
                                      CoverageDistribution::Poisson);
         SequencingRun run;
@@ -582,16 +573,16 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
         // Sequencers emit both orientations; flip half the reads so the
         // preprocessing stage earns its keep.
         for (std::size_t i = 1; i < run.reads.size(); i += 2)
-            run.reads[i] = strand::reverseComplement(run.reads[i]);
+            strand::reverseComplementInPlace(run.reads[i]);
 
-        const PreprocessResult prep = preprocessReads(
+        PreprocessResult prep = preprocessReads(
             run.reads, pair, {config.primer_max_edit});
 
         // Retrieval half of the pipeline, confined to this shard.
         RashtchianClustererConfig ccfg =
             RashtchianClustererConfig::forErrorRate(
                 config.error_rate, manifest_.params.codec.strandLength());
-        ccfg.seed = shardSeed(config.seed ^ 0xc105ULL, shard.pair_id);
+        ccfg.seed = mixSeed(config.seed ^ 0xc105ULL, shard.pair_id);
         RashtchianClusterer clusterer(ccfg);
         const NwConsensusReconstructor reconstructor;
         const DoubleSidedBmaReconstructor fallback;
@@ -606,16 +597,17 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
         PipelineConfig pcfg;
         pcfg.coverage = coverage;
         pcfg.num_threads = 1; // Parallelism lives at the shard level.
-        pcfg.seed = shardSeed(config.seed ^ 0x5eedULL, shard.pair_id);
+        pcfg.seed = mixSeed(config.seed ^ 0x5eedULL, shard.pair_id);
         pcfg.min_cluster_size = config.min_cluster_size;
         pcfg.max_decode_retries = config.max_decode_retries;
         pcfg.faults = config.faults;
-        pcfg.faults.seed = shardSeed(config.faults.seed, shard.pair_id);
+        pcfg.faults.seed = mixSeed(config.faults.seed, shard.pair_id);
         pcfg.faults.index_nt = manifest_.params.codec.index_nt;
 
         Pipeline pipeline(mods, pcfg);
         PipelineResult result = pipeline.runFromReads(
-            prep.reads, manifest_.params.codec.strandLength(), shard.units);
+            std::move(prep.reads), manifest_.params.codec.strandLength(),
+            shard.units);
 
         outcome.stages = result.status;
         outcome.reads = result.reads;

@@ -359,7 +359,8 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     try {
         StageScope stage("pipeline/simulation", "simulation",
                          result.latency.simulation, result.cpu.simulation);
-        run = simulateSequencing(encoded, *mods.channel, cfg.coverage, rng);
+        run = simulateSequencing(encoded, *mods.channel, cfg.coverage, rng,
+                                 true, cfg.num_threads);
         result.status.simulation = StageStatus::Ok;
     } catch (const std::exception &error) {
         addError(result, "simulation", error.what());
@@ -380,13 +381,13 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     }
     result.reads = run.reads.size();
 
-    retrieve(run.reads, &run.origin, &encoded, strand_length,
+    retrieve(std::move(run.reads), &run.origin, &encoded, strand_length,
              mods.encoder->unitsForSize(data.size()), faults, result);
 }
 
 PipelineResult
-Pipeline::runFromReads(const std::vector<Strand> &reads,
-                       std::size_t strand_length, std::size_t expected_units)
+Pipeline::runFromReads(std::vector<Strand> reads, std::size_t strand_length,
+                       std::size_t expected_units)
 {
     return instrumentedRun(
         "pipeline/run_from_reads", cfg.faults,
@@ -399,22 +400,17 @@ Pipeline::runFromReads(const std::vector<Strand> &reads,
                 result.status.clustering = StageStatus::Failed;
                 return;
             }
-            const std::vector<Strand> *use = &reads;
-            std::vector<Strand> faulted;
-            if (faults && faults->plan().anyReadFaults()) {
-                faulted = reads;
-                faults->injectReads(faulted);
-                use = &faulted;
-            }
-            result.reads = use->size();
-            retrieve(*use, nullptr, nullptr, strand_length, expected_units,
-                     faults, result);
+            if (faults && faults->plan().anyReadFaults())
+                faults->injectReads(reads);
+            result.reads = reads.size();
+            retrieve(std::move(reads), nullptr, nullptr, strand_length,
+                     expected_units, faults, result);
         });
 }
 
 void
-Pipeline::retrieve(const std::vector<Strand> &reads,
-                   const std::vector<std::uint32_t> *origins,
+Pipeline::retrieve(std::vector<Strand> reads,
+                   std::vector<std::uint32_t> *origins,
                    const std::vector<Strand> *ground_truth,
                    std::size_t strand_length, std::size_t expected_units,
                    FaultInjector *faults, PipelineResult &result)
@@ -423,36 +419,33 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     // fault) contains empty or non-ACGT reads that the similarity
     // machinery downstream is not obliged to handle.  Filter them here
     // and account for every rejected read.
-    const std::vector<Strand> *use_reads = &reads;
-    const std::vector<std::uint32_t> *use_origins = origins;
-    std::vector<Strand> clean_reads;
-    std::vector<std::uint32_t> clean_origins;
-    const bool any_bad =
-        std::any_of(reads.begin(), reads.end(), [](const Strand &r) {
-            return r.empty() || !strand::isValid(r);
-        });
-    if (any_bad) {
-        clean_reads.reserve(reads.size());
-        for (std::size_t i = 0; i < reads.size(); ++i) {
-            if (reads[i].empty() || !strand::isValid(reads[i])) {
-                ++result.malformed_reads;
-                continue;
-            }
-            clean_reads.push_back(reads[i]);
-            if (origins)
-                clean_origins.push_back((*origins)[i]);
+    std::vector<char> malformed(reads.size());
+    parallelFor(cfg.num_threads, reads.size(), [&](std::size_t i) {
+        malformed[i] = reads[i].empty() || !strand::isValid(reads[i]);
+    });
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        if (malformed[i]) {
+            ++result.malformed_reads;
+            continue;
         }
-        use_reads = &clean_reads;
-        if (origins)
-            use_origins = &clean_origins;
+        if (valid != i) {
+            reads[valid] = std::move(reads[i]);
+            if (origins)
+                (*origins)[valid] = (*origins)[i];
+        }
+        ++valid;
     }
+    reads.resize(valid);
+    if (origins)
+        origins->resize(valid);
 
     // Stage 3: clustering.
     Clustering clustering;
     try {
         StageScope stage("pipeline/clustering", "clustering",
                          result.latency.clustering, result.cpu.clustering);
-        clustering = mods.clusterer->cluster(*use_reads);
+        clustering = mods.clusterer->cluster(reads);
         result.status.clustering = StageStatus::Ok;
     } catch (const std::exception &error) {
         addError(result, "clustering", error.what());
@@ -465,19 +458,19 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
         // Fallback: every read is its own cluster.  Costly downstream
         // but keeps the decode alive — duplicate indices are resolved
         // by the decoder's majority vote.
-        clustering.clusters.resize(use_reads->size());
+        clustering.clusters.resize(reads.size());
         for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(use_reads->size()); ++i) {
+             i < static_cast<std::uint32_t>(reads.size()); ++i) {
             clustering.clusters[i] = {i};
         }
     }
     result.clusters = clustering.numClusters();
     if (result.malformed_reads > 0)
         degradeTo(result.status.clustering, StageStatus::Degraded);
-    if (use_origins) {
+    if (origins) {
         try {
             result.clustering_accuracy =
-                clusteringAccuracy(clustering, *use_origins);
+                clusteringAccuracy(clustering, *origins);
         } catch (const std::exception &error) {
             addError(result, "clustering",
                      std::string("accuracy evaluation failed: ") +
@@ -486,7 +479,13 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
     }
 
     // Materialise every non-empty cluster; size filtering happens per
-    // decode attempt so the recovery policy can relax it.
+    // decode attempt so the recovery policy can relax it.  Each read
+    // moves into its group; one listed in several clusters is copied
+    // into all but the last of them.
+    std::vector<std::uint32_t> uses(reads.size(), 0);
+    for (const auto &cluster : clustering.clusters)
+        for (std::uint32_t idx : cluster)
+            ++uses[idx];
     std::vector<std::vector<Strand>> groups;
     std::vector<std::vector<std::uint32_t>> group_origins;
     groups.reserve(clustering.clusters.size());
@@ -497,9 +496,12 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
         std::vector<std::uint32_t> group_origin;
         group.reserve(cluster.size());
         for (std::uint32_t idx : cluster) {
-            group.push_back((*use_reads)[idx]);
-            if (use_origins)
-                group_origin.push_back((*use_origins)[idx]);
+            if (--uses[idx] == 0)
+                group.push_back(std::move(reads[idx]));
+            else
+                group.push_back(reads[idx]);
+            if (origins)
+                group_origin.push_back((*origins)[idx]);
         }
         groups.push_back(std::move(group));
         group_origins.push_back(std::move(group_origin));
@@ -543,8 +545,10 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
 
     // Ground-truth reconstruction quality: a cluster reconstructs
     // "perfectly" when its consensus equals the encoded strand that a
-    // majority of its reads came from.
-    if (ground_truth && use_origins && !ground_truth->empty()) {
+    // majority of its reads came from.  Each encoded strand counts
+    // once, however many clusters it was split into.
+    if (ground_truth && origins && !ground_truth->empty()) {
+        std::vector<bool> counted(ground_truth->size(), false);
         std::size_t perfect = 0;
         for (std::size_t i = 0; i < reconstructed.size(); ++i) {
             const auto &origin_list = group_origins[kept[i]];
@@ -561,9 +565,11 @@ Pipeline::retrieve(const std::vector<Strand> &reads,
                     majority = origin;
                 }
             }
-            if (majority < ground_truth->size() &&
-                reconstructed[i] == (*ground_truth)[majority])
+            if (majority < ground_truth->size() && !counted[majority] &&
+                reconstructed[i] == (*ground_truth)[majority]) {
+                counted[majority] = true;
                 ++perfect;
+            }
         }
         result.perfect_reconstructions = result.encoded_strands == 0
             ? 0.0

@@ -128,7 +128,10 @@ struct PipelineResult
 
     /** A_1 accuracy vs ground truth (simulated runs only). */
     double clustering_accuracy = 0.0;
-    /** Fraction of encoded strands reconstructed exactly. */
+    /**
+     * Fraction of encoded strands reconstructed exactly; a strand split
+     * over several clusters counts once.
+     */
     double perfect_reconstructions = 0.0;
 
     /**
@@ -209,9 +212,10 @@ class Pipeline
      * Variant that skips the simulation stage and consumes externally
      * produced reads (e.g. preprocessed wetlab FASTQ, Section VIII).
      * @p expected_units may be 0 (infer from indices).  Never throws
-     * (same contract as run()).
+     * (same contract as run()).  @p reads is consumed: pass an rvalue
+     * to spare the copy.
      */
-    PipelineResult runFromReads(const std::vector<Strand> &reads,
+    PipelineResult runFromReads(std::vector<Strand> reads,
                                 std::size_t strand_length,
                                 std::size_t expected_units = 0);
 
@@ -222,11 +226,13 @@ class Pipeline
 
     /**
      * Shared retrieval half (clustering -> reconstruction -> decoding
-     * -> recovery).  @p origins / @p ground_truth are null outside
-     * simulation; @p faults as in runImpl().
+     * -> recovery).  Consumes @p reads (each moves into its cluster)
+     * and drops malformed ones from @p origins in step.  @p origins /
+     * @p ground_truth are null outside simulation; @p faults as in
+     * runImpl().
      */
-    void retrieve(const std::vector<Strand> &reads,
-                  const std::vector<std::uint32_t> *origins,
+    void retrieve(std::vector<Strand> reads,
+                  std::vector<std::uint32_t> *origins,
                   const std::vector<Strand> *ground_truth,
                   std::size_t strand_length, std::size_t expected_units,
                   FaultInjector *faults, PipelineResult &result);

@@ -54,10 +54,17 @@ maxHomopolymerRun(const Strand &s)
 Strand
 reverseComplement(const Strand &s)
 {
-    Strand out(s.size(), 'A');
-    for (std::size_t i = 0; i < s.size(); ++i)
-        out[i] = complementChar(s[s.size() - 1 - i]);
+    Strand out = s;
+    reverseComplementInPlace(out);
     return out;
+}
+
+void
+reverseComplementInPlace(Strand &s)
+{
+    std::reverse(s.begin(), s.end());
+    for (char &c : s)
+        c = complementChar(c);
 }
 
 Strand

@@ -39,6 +39,9 @@ std::size_t maxHomopolymerRun(const Strand &s);
 /** Reverse complement (5'->3' flip of the opposite strand). */
 Strand reverseComplement(const Strand &s);
 
+/** Replace @p s by its reverse complement without allocating. */
+void reverseComplementInPlace(Strand &s);
+
 /**
  * Pack payload bytes into nucleotides, two bits per base, MSB first.
  * A byte 0bB3B2B1B0 (bit pairs) becomes 4 nucleotides.

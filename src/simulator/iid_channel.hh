@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <array>
+
 #include "simulator/channel.hh"
 
 namespace dnastore
@@ -32,7 +34,16 @@ struct IidChannelConfig
     double total() const { return p_insertion + p_deletion + p_substitution; }
 };
 
-/** Rashtchian-style i.i.d. IDS channel. */
+/**
+ * Rashtchian-style i.i.d. IDS channel.  Per index, in order: an
+ * insertion of a uniform base with probability p_insertion; then a
+ * deletion with probability p_deletion; otherwise a substitution by
+ * one of the three other bases with probability p_substitution.
+ *
+ * transmit() draws that law per error event, not per base: a geometric
+ * gap to the next index with any event, then which of the five event
+ * combinations (I, D, S, I+D, I+S) it is, weighted exactly.
+ */
 class IidChannel : public Channel
 {
   public:
@@ -46,6 +57,12 @@ class IidChannel : public Channel
 
   private:
     IidChannelConfig cfg;
+    /** Probability that an index sees any event. */
+    double p_any = 0.0;
+    /** 1 / log(1 - p_any), for drawing the gap to the next event. */
+    double inv_log_clean = 0.0;
+    /** Cumulative weights of I, D, S, I+D (I+S takes the rest). */
+    std::array<double, 4> kind_cdf{};
 };
 
 } // namespace dnastore

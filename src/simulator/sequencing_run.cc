@@ -4,38 +4,48 @@
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "util/thread_pool.hh"
 
 namespace dnastore
 {
 
 SequencingRun
 simulateSequencing(const std::vector<Strand> &strands, const Channel &channel,
-                   const CoverageModel &coverage, Rng &rng, bool shuffle)
+                   const CoverageModel &coverage, Rng &rng, bool shuffle,
+                   std::size_t width)
 {
     obs::Span span("simulation/sequencing_run");
+    const std::uint64_t base = rng.next();
+
+    // Coverage first, from each strand's own stream; the stream then
+    // carries on into that strand's reads.
+    std::vector<Rng> streams;
+    streams.reserve(strands.size());
+    std::vector<std::size_t> offset(strands.size() + 1, 0);
     SequencingRun run;
     for (std::size_t s = 0; s < strands.size(); ++s) {
-        const std::uint64_t copies = coverage.draw(rng);
+        streams.emplace_back(mixSeed(base, s));
+        const std::uint64_t copies = coverage.draw(streams.back());
         if (copies == 0)
             ++run.dropped_strands;
-        for (std::uint64_t copy = 0; copy < copies; ++copy) {
-            run.reads.push_back(channel.transmit(strands[s], rng));
-            run.origin.push_back(static_cast<std::uint32_t>(s));
-        }
+        offset[s + 1] = offset[s] + copies;
     }
-    if (shuffle) {
-        std::vector<std::size_t> perm(run.reads.size());
-        std::iota(perm.begin(), perm.end(), 0);
-        rng.shuffle(perm);
-        std::vector<Strand> reads(run.reads.size());
-        std::vector<std::uint32_t> origin(run.origin.size());
-        for (std::size_t i = 0; i < perm.size(); ++i) {
-            reads[i] = std::move(run.reads[perm[i]]);
-            origin[i] = run.origin[perm[i]];
+
+    // slot[i]: the final position of the i-th read in strand order.
+    std::vector<std::size_t> slot(offset.back());
+    std::iota(slot.begin(), slot.end(), 0);
+    if (shuffle)
+        rng.shuffle(slot);
+
+    run.reads.resize(slot.size());
+    run.origin.resize(slot.size());
+    parallelFor(width, strands.size(), [&](std::size_t s) {
+        for (std::size_t i = offset[s]; i < offset[s + 1]; ++i) {
+            run.reads[slot[i]] = channel.transmit(strands[s], streams[s]);
+            run.origin[slot[i]] = static_cast<std::uint32_t>(s);
         }
-        run.reads = std::move(reads);
-        run.origin = std::move(origin);
-    }
+    });
+
     obs::metrics().counter("simulation.strands_total").add(strands.size());
     obs::metrics().counter("simulation.reads_total").add(run.reads.size());
     obs::metrics()

@@ -37,11 +37,19 @@ struct SequencingRun
  * Simulate sequencing of @p strands through @p channel with coverage
  * drawn from @p coverage.  Reads are shuffled unless @p shuffle is
  * false (useful for deterministic unit tests).
+ *
+ * Stream contract: one base seed is drawn from @p rng, and strand s
+ * draws its coverage and then its reads, in copy order, from its own
+ * Rng(mixSeed(base, s)).  The shuffle is one permutation drawn from
+ * @p rng afterwards.  Strands are simulated on up to @p width threads
+ * (parallelFor; 0 = the shared pool's size), so @p channel's transmit
+ * must be safe to call concurrently, and the run is identical at
+ * every width.
  */
 SequencingRun
 simulateSequencing(const std::vector<Strand> &strands, const Channel &channel,
                    const CoverageModel &coverage, Rng &rng,
-                   bool shuffle = true);
+                   bool shuffle = true, std::size_t width = 1);
 
 } // namespace dnastore
 

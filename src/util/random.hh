@@ -44,6 +44,17 @@ class SplitMix64
 };
 
 /**
+ * Seed of stream @p index under @p base: distinct indices give
+ * decorrelated seeds, so per-item Rng(mixSeed(base, i)) streams can be
+ * drawn in any order, or in parallel, with the same result.
+ */
+inline std::uint64_t
+mixSeed(std::uint64_t base, std::uint64_t index)
+{
+    return SplitMix64(base ^ (index * 0x9e3779b97f4a7c15ULL)).next();
+}
+
+/**
  * xoshiro256** PRNG with convenience distributions.
  *
  * Satisfies UniformRandomBitGenerator so it can also be plugged into

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
 #include "simulator/iid_channel.hh"
+#include "simulator/sequencing_run.hh"
 #include "util/random.hh"
 
 namespace dnastore
@@ -144,15 +146,24 @@ TEST(Pipeline, FlakyReconstructorDegradesInsteadOfAborting)
     Rng rng(12);
     const auto data = randomData(rng, 3000);
 
+    // Ten reads of every strand, plus one unrelated strand: a singleton
+    // cluster whatever the channel draws.
+    const std::vector<Strand> encoded = encoder.encode(data);
+    std::vector<Strand> reads =
+        simulateSequencing(encoded, channel, CoverageModel(10.0), rng).reads;
+    const Strand junk = strand::random(rng, encoded.front().size());
+    reads.push_back(junk);
+
     const auto runAt = [&](std::size_t threads) {
         RashtchianClusterer clusterer({});
         PipelineConfig cfg;
-        cfg.coverage = CoverageModel(10.0, CoverageDistribution::Poisson);
         cfg.num_threads = threads;
         Pipeline pipeline(
             {&encoder, &decoder, &channel, &clusterer, &recon}, cfg);
         PipelineResult result;
-        EXPECT_NO_THROW(result = pipeline.run(data));
+        EXPECT_NO_THROW(result = pipeline.runFromReads(
+                            reads, encoded.front().size(),
+                            encoder.unitsForSize(data.size())));
         return result;
     };
     const PipelineResult serial = runAt(1);
@@ -161,6 +172,8 @@ TEST(Pipeline, FlakyReconstructorDegradesInsteadOfAborting)
     EXPECT_EQ(serial.report.data, data);
     ASSERT_EQ(serial.errors.size(), 1u);
     EXPECT_EQ(serial.errors[0].stage, "reconstruction");
+    EXPECT_NE(serial.errors[0].message.find("cluster too thin"),
+              std::string::npos);
     EXPECT_EQ(serial.status.reconstruction, StageStatus::Degraded);
 
     // Salvaging is the same at any thread count: one error naming the
@@ -395,6 +408,154 @@ TEST(Pipeline, RunFromReadsDecodesPreparedReads)
     EXPECT_TRUE(result.report.ok);
     EXPECT_EQ(result.report.data, data);
 }
+
+/** Splits the first cluster of an inner clusterer into two halves. */
+class SplittingClusterer : public Clusterer
+{
+  public:
+    Clustering
+    cluster(const std::vector<Strand> &reads) override
+    {
+        Clustering out = inner.cluster(reads);
+        std::vector<std::uint32_t> &first = out.clusters.front();
+        const auto half = first.begin() + static_cast<std::ptrdiff_t>(
+                                              first.size() / 2);
+        std::vector<std::uint32_t> second(half, first.end());
+        first.erase(half, first.end());
+        out.clusters.push_back(std::move(second));
+        return out;
+    }
+    std::string name() const override { return "splitting"; }
+
+  private:
+    RashtchianClusterer inner{{}};
+};
+
+TEST(Pipeline, SplitClusterCountsItsStrandOnce)
+{
+    // Both halves of a split cluster reconstruct their strand exactly;
+    // the strand still counts once towards perfect_reconstructions.
+    const auto codec_cfg = testCodecConfig();
+    MatrixEncoder encoder(codec_cfg);
+    MatrixDecoder decoder(codec_cfg);
+    PerfectChannel channel;
+    SplittingClusterer clusterer;
+    NwConsensusReconstructor recon;
+    PipelineConfig cfg;
+    cfg.coverage = CoverageModel(6.0);
+    Pipeline pipeline({&encoder, &decoder, &channel, &clusterer, &recon},
+                      cfg);
+    Rng rng(15);
+    const auto result = pipeline.run(randomData(rng, 2000));
+    EXPECT_TRUE(result.report.ok);
+    EXPECT_EQ(result.clusters, result.encoded_strands + 1);
+    EXPECT_DOUBLE_EQ(result.perfect_reconstructions, 1.0);
+}
+
+/** One Table III module combination. */
+struct Table3Combo
+{
+    const char *name;
+    SignatureKind signature;
+    int reconstructor; // 0 = BMA, 1 = DBMA, 2 = NW
+    double coverage;
+};
+
+class PipelineThreads : public ::testing::TestWithParam<Table3Combo>
+{
+};
+
+TEST_P(PipelineThreads, SameResultAtEveryWidth)
+{
+    // The Table III setup (payload 120 nt, index 12 nt, RS(60,40), 6%
+    // i.i.d. errors, Poisson coverage, min_cluster_size 2) on a small
+    // file: simulation, clustering and reconstruction all run at the
+    // width, and the run must not depend on it.
+    const Table3Combo combo = GetParam();
+    MatrixCodecConfig codec_cfg;
+    codec_cfg.payload_nt = 120;
+    codec_cfg.index_nt = 12;
+    codec_cfg.rs_n = 60;
+    codec_cfg.rs_k = 40;
+    MatrixEncoder encoder(codec_cfg);
+    MatrixDecoder decoder(codec_cfg);
+    IidChannel channel(IidChannelConfig::fromTotalErrorRate(0.06));
+    BmaReconstructor bma;
+    DoubleSidedBmaReconstructor dbma;
+    NwConsensusReconstructor nw;
+    const std::vector<const Reconstructor *> recons{&bma, &dbma, &nw};
+    Rng rng(3333);
+    const auto data = randomData(rng, 1500);
+
+    const auto runAt = [&](std::size_t width) {
+        auto clu_cfg =
+            RashtchianClustererConfig::forErrorRate(0.06,
+                                                    codec_cfg.strandLength());
+        clu_cfg.signature = combo.signature;
+        clu_cfg.num_threads = width;
+        RashtchianClusterer clusterer(clu_cfg);
+        PipelineConfig cfg;
+        cfg.coverage =
+            CoverageModel(combo.coverage, CoverageDistribution::Poisson);
+        cfg.seed = 7;
+        cfg.min_cluster_size = 2;
+        cfg.num_threads = width;
+        Pipeline pipeline({&encoder, &decoder, &channel, &clusterer,
+                           recons[static_cast<std::size_t>(
+                               combo.reconstructor)]},
+                          cfg);
+        return pipeline.run(data);
+    };
+    // Registry counters, less the thread pool's own bookkeeping.
+    const auto counters = [](const PipelineResult &result) {
+        std::map<std::string, std::uint64_t> out;
+        for (const auto &[name, value] : result.metrics.counters)
+            if (name.rfind("util.", 0) != 0)
+                out[name] = value;
+        return out;
+    };
+
+    const PipelineResult serial = runAt(1);
+    ASSERT_TRUE(serial.report.ok);
+    EXPECT_EQ(serial.report.data, data);
+    for (std::size_t width : {2u, 4u}) {
+        const PipelineResult parallel = runAt(width);
+        EXPECT_EQ(parallel.report.ok, serial.report.ok) << width;
+        EXPECT_EQ(parallel.report.data, serial.report.data) << width;
+        EXPECT_EQ(parallel.report.failed_rows, serial.report.failed_rows)
+            << width;
+        EXPECT_EQ(parallel.reads, serial.reads) << width;
+        EXPECT_EQ(parallel.clusters, serial.clusters) << width;
+        EXPECT_EQ(parallel.dropped_strands, serial.dropped_strands) << width;
+        EXPECT_EQ(parallel.dropped_clusters, serial.dropped_clusters)
+            << width;
+        EXPECT_EQ(parallel.clustering_accuracy, serial.clustering_accuracy)
+            << width;
+        EXPECT_EQ(parallel.perfect_reconstructions,
+                  serial.perfect_reconstructions)
+            << width;
+        EXPECT_EQ(counters(parallel), counters(serial)) << width;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table3, PipelineThreads,
+    ::testing::Values(
+        Table3Combo{"QGramBmaCov10", SignatureKind::QGram, 0, 10.0},
+        Table3Combo{"QGramDbmaCov10", SignatureKind::QGram, 1, 10.0},
+        Table3Combo{"QGramNwaCov10", SignatureKind::QGram, 2, 10.0},
+        Table3Combo{"WGramBmaCov10", SignatureKind::WGram, 0, 10.0},
+        Table3Combo{"WGramDbmaCov10", SignatureKind::WGram, 1, 10.0},
+        Table3Combo{"WGramNwaCov10", SignatureKind::WGram, 2, 10.0},
+        Table3Combo{"QGramBmaCov50", SignatureKind::QGram, 0, 50.0},
+        Table3Combo{"QGramDbmaCov50", SignatureKind::QGram, 1, 50.0},
+        Table3Combo{"QGramNwaCov50", SignatureKind::QGram, 2, 50.0},
+        Table3Combo{"WGramBmaCov50", SignatureKind::WGram, 0, 50.0},
+        Table3Combo{"WGramDbmaCov50", SignatureKind::WGram, 1, 50.0},
+        Table3Combo{"WGramNwaCov50", SignatureKind::WGram, 2, 50.0}),
+    [](const ::testing::TestParamInfo<Table3Combo> &param_info) {
+        return std::string(param_info.param.name);
+    });
 
 } // namespace
 } // namespace dnastore
