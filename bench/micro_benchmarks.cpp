@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "clustering/clusterer.hh"
 #include "clustering/signature.hh"
 #include "dna/align.hh"
 #include "dna/distance.hh"
@@ -76,18 +75,19 @@ void
 BM_WithinEditDistance(benchmark::State &state)
 {
     // The clustering's gray-zone check at the table3 shape: 132-nt
-    // reads at 6% error and the threshold forErrorRate picks for them.
-    // Arg 0: two reads of one strand; arg 1: reads of two strands.
+    // reads at 6% error.  Arg 0: two reads of one strand (0) or reads
+    // of two strands (1).  Arg 1: the threshold k; table3 uses 28, the
+    // one-word band reaches 31 and 32 takes the blocked kernel.
     const std::size_t len = 132;
-    const std::size_t threshold =
-        RashtchianClustererConfig::forErrorRate(0.06, len).edit_threshold;
+    const auto threshold = static_cast<std::size_t>(state.range(1));
     const auto same = noisyPair(13, len, 0.06);
     const auto other = noisyPair(14, len, 0.06);
     const Strand &b = state.range(0) == 0 ? same[1] : other[0];
     for (auto _ : state)
         benchmark::DoNotOptimize(withinEditDistance(same[0], b, threshold));
 }
-BENCHMARK(BM_WithinEditDistance)->Arg(0)->Arg(1);
+BENCHMARK(BM_WithinEditDistance)
+    ->ArgsProduct({{0, 1}, {8, 16, 28, 31, 32}});
 
 void
 BM_SignatureCompute(benchmark::State &state)

@@ -454,6 +454,20 @@ Pipeline::retrieve(std::vector<Strand> reads,
         addError(result, "clustering", "unknown exception");
         result.status.clustering = StageStatus::Failed;
     }
+    // A module's indices are untrusted input: one past the reads would
+    // index out of bounds below, so it counts as a failed clustering.
+    const auto out_of_range = [&](const std::vector<std::uint32_t> &c) {
+        return std::any_of(c.begin(), c.end(), [&](std::uint32_t idx) {
+            return idx >= reads.size();
+        });
+    };
+    if (result.status.clustering == StageStatus::Ok &&
+        std::any_of(clustering.clusters.begin(), clustering.clusters.end(),
+                    out_of_range)) {
+        addError(result, "clustering",
+                 "clusterer returned a read index out of range");
+        result.status.clustering = StageStatus::Failed;
+    }
     if (result.status.clustering == StageStatus::Failed) {
         // Fallback: every read is its own cluster.  Costly downstream
         // but keeps the decode alive — duplicate indices are resolved

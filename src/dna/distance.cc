@@ -104,6 +104,8 @@ namespace
 {
 
 constexpr std::size_t kWord = 64;
+/** The widest threshold whose band, 2k + 1 rows, fits one word. */
+constexpr std::size_t kMaxBandDistance = (kWord - 1) / 2;
 
 /**
  * Myers' bit-parallel edit distance (Hyyro's blocked formulation) of
@@ -230,6 +232,88 @@ myersBounded(std::string_view a, std::string_view b, std::size_t k)
     }
 }
 
+/**
+ * Hyyro's banded bit-vector kernel (2003): whether the edit distance of
+ * a pattern and a text no longer than it is at most k, for
+ * len gap <= k < |pattern| and 2k + 1 <= 64.  Only the diagonal band
+ * |i - j| <= k of the DP matrix can hold a value <= k, and it fits in
+ * one word: column j reads the pattern bitmasks at row offset
+ * k + 1 - 64 + j, so bit 63 is the band's lower diagonal i = j + k.
+ * The score is tracked along that diagonal until it reaches the last
+ * row, then along the last row.
+ *
+ * Peq holds the pattern bitmasks at bit offset 64, with a zero word on
+ * either side, so every window reads two in-range words.  It has a row
+ * only for the symbols the pattern contains; every other byte maps to
+ * the all-zero row 0.  Patterns of at most 256 symbols use the stack.
+ */
+bool
+bandKernel(std::string_view pattern, std::string_view text, std::size_t k)
+{
+    const std::size_t m = pattern.size();
+    const std::size_t n = text.size();
+    const std::size_t words = (m + kWord - 1) / kWord + 2;
+    constexpr std::size_t kStackWords = 256 / kWord + 2;
+
+    // One pass over the pattern: a symbol's row is zeroed when the
+    // symbol is first seen, so untouched rows cost nothing.
+    std::array<std::uint64_t, 257 * kStackWords> stack_peq;
+    std::vector<std::uint64_t> heap_peq;
+    std::uint64_t *peq = stack_peq.data();
+    if (words > kStackWords) {
+        heap_peq.resize(257 * words);
+        peq = heap_peq.data();
+    }
+    std::fill(peq, peq + words, 0);
+    std::array<std::uint16_t, 256> slot_of{};
+    std::size_t rows = 1;
+    for (std::size_t i = 0; i < m; ++i) {
+        std::uint16_t &slot = slot_of[static_cast<unsigned char>(pattern[i])];
+        if (slot == 0) {
+            slot = static_cast<std::uint16_t>(rows++);
+            std::fill(peq + slot * words, peq + (slot + 1) * words, 0);
+        }
+        peq[slot * words + 1 + i / kWord] |= std::uint64_t{1}
+                                             << (i % kWord);
+    }
+
+    // Before column 1 the band holds D[0..k][0] = 0..k: k + 1 steps of
+    // +1 ending at bit 63, where the score D[k][0] = k is tracked.
+    std::uint64_t vp = ~std::uint64_t{0} << (kWord - 1 - k);
+    std::uint64_t vn = 0;
+    std::size_t score = k;
+    // Along the lower diagonal the score never falls; along the last
+    // row it falls by at most one per column, k - gap columns in all.
+    const std::size_t break_score = 2 * k - (m - n);
+    std::uint64_t last_row = std::uint64_t{1} << (kWord - 2);
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t pos = k + 1 + j; // the window, offset by 64
+        const std::uint64_t *const eq_row =
+            peq + slot_of[static_cast<unsigned char>(text[j])] * words +
+            pos / kWord;
+        const unsigned shift = pos % kWord;
+        const std::uint64_t eq =
+            (eq_row[0] >> shift) | ((eq_row[1] << 1) << (kWord - 1 - shift));
+
+        const std::uint64_t d0 = (((eq & vp) + vp) ^ vp) | eq | vn;
+        const std::uint64_t hp = vn | ~(d0 | vp);
+        const std::uint64_t hn = d0 & vp;
+        if (j + k < m) {
+            score += (d0 >> (kWord - 1)) ^ 1; // diagonal step: +0 or +1
+        } else {
+            score += (hp & last_row) != 0;
+            score -= (hn & last_row) != 0;
+            last_row >>= 1;
+        }
+        if (score > break_score)
+            return false;
+        // Shift the band one row down for the next column.
+        vp = hn | ~((d0 >> 1) | hp);
+        vn = (d0 >> 1) & hp;
+    }
+    return score <= k;
+}
+
 } // namespace
 
 DNASTORE_HOT std::size_t
@@ -246,10 +330,13 @@ withinEditDistance(const std::string &a, const std::string &b,
                                                 : b.size() - a.size();
     if (gap > max_distance)
         return false;
-    // Tight thresholds: the banded DP touches O(k * min_len) cells.
-    // Wide thresholds: Myers' kernel is flat in k and wins.
-    if (max_distance <= 8)
-        return boundedLevenshtein(a, b, max_distance) <= max_distance;
+    const std::string_view pattern = a.size() >= b.size() ? a : b;
+    const std::string_view text = a.size() >= b.size() ? b : a;
+    if (pattern.size() <= max_distance)
+        return true; // the distance is at most the longer length
+    // A band of 2k + 1 rows fits one word: one word step per column.
+    if (max_distance <= kMaxBandDistance)
+        return bandKernel(pattern, text, max_distance);
     return myersBounded(a, b, max_distance) <= max_distance;
 }
 

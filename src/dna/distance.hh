@@ -40,17 +40,21 @@ std::size_t boundedLevenshtein(const std::string &a, const std::string &b,
  * Myers' bit-parallel Levenshtein distance (blocked variant, Hyyro's
  * formulation): exact global edit distance in
  * O(ceil(min_len/64) * max_len) word operations.  This is the fast
- * kernel behind the clustering module's gray-zone comparisons, where
- * thresholds are too wide for the banded algorithm to win.  It
+ * kernel behind withinEditDistance for thresholds of 32 and more.  It
  * allocates nothing when the shorter string has at most 256 symbols.
  */
 std::size_t myersLevenshtein(const std::string &a, const std::string &b);
 
 /**
- * Convenience: true iff levenshtein(a, b) <= max_distance.  Dispatches
- * between the banded DP (cheap for tight thresholds) and Myers'
- * bit-parallel kernel (cheaper for wide ones), which stops as soon as
- * the distance can no longer come back down to max_distance.
+ * True iff levenshtein(a, b) <= max_distance.  A length gap above the
+ * threshold k returns false at once.  For k <= 31 it runs Hyyro's
+ * banded bit-vector kernel: the band |i - j| <= k of 2k + 1 <= 64 rows
+ * fits one word, so each column of the shorter string is one word step,
+ * and it stops once the score tracked along the band's lower diagonal,
+ * then the last row, exceeds 2k minus the length gap.  Wider thresholds
+ * run Myers' blocked kernel, which stops as soon as the distance can no
+ * longer come back down to k.  Allocates nothing when both strings have
+ * at most 256 symbols.
  */
 bool withinEditDistance(const std::string &a, const std::string &b,
                         std::size_t max_distance);

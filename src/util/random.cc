@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dnastore
@@ -100,7 +101,12 @@ Rng::geometric(double p)
     // Guard against log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+    // For p below about 2e-18 the quotient can reach 2^64, where the
+    // conversion would be undefined: saturate instead.
+    const double failures = std::log(u) / std::log1p(-p);
+    if (failures >= 0x1.0p64)
+        return std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(failures);
 }
 
 std::uint64_t

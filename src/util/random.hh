@@ -96,7 +96,10 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool chance(double p);
 
-    /** Geometric number of failures before first success; p in (0,1]. */
+    /**
+     * Geometric number of failures before first success; p in (0,1].
+     * Saturates at UINT64_MAX when the draw is 2^64 or more.
+     */
     std::uint64_t geometric(double p);
 
     /** Poisson draw (Knuth's method; intended for small lambda). */

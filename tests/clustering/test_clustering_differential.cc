@@ -3,7 +3,9 @@
  * Differential tests for the clustering stage.  The reference below is
  * the earlier implementation kept verbatim in logic: a string-keyed
  * partition map rebuilt each round, one shared union-find behind a
- * mutex, atomic tallies, and hash-set/hash-map signatures.  The
+ * mutex, atomic tallies, and hash-set/hash-map signatures.  Its
+ * gray-zone check is the plain DP, levenshtein(a, b) <= k, so the
+ * comparison also covers the production edit-distance kernels.  The
  * production clusterers must give the same clusters (groups and their
  * order), the same Stats counters and the same signatures, at any
  * thread count.
@@ -176,8 +178,8 @@ class Rashtchian
                             do_merge = true;
                         } else if (d < theta_high) {
                             edit_calls.fetch_add(1);
-                            do_merge = withinEditDistance(
-                                reads[a], reads[c], cfg.edit_threshold);
+                            do_merge = levenshtein(reads[a], reads[c]) <=
+                                       cfg.edit_threshold;
                         }
                         if (do_merge) {
                             MutexLock lock(dsu_mutex);
@@ -293,9 +295,10 @@ class Greedy
                     join = true;
                 } else if (best_distance < theta_check) {
                     ++stats.edit_distance_calls;
-                    join = withinEditDistance(
-                        read, reads[clusters[best].representative],
-                        cfg.edit_threshold);
+                    join = levenshtein(
+                               read,
+                               reads[clusters[best].representative]) <=
+                           cfg.edit_threshold;
                 }
             }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dna/distance.hh"
 #include "dna/strand.hh"
@@ -249,7 +250,79 @@ TEST_P(EditKernelSweep, WithinEditDistanceMatchesReferenceDp)
 
 INSTANTIATE_TEST_SUITE_P(BlockBoundaries, EditKernelSweep,
                          ::testing::Values(1, 2, 63, 64, 65, 127, 128, 129,
-                                           255, 256, 257));
+                                           131, 132, 133, 255, 256, 257));
+
+/** Copy of s with `count` symbols from alphabet inserted at random. */
+std::string
+insertRandom(std::string s, std::size_t count, const std::string &alphabet,
+             Rng &rng)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(
+                                 rng.below(s.size() + 1)),
+                 alphabet[rng.below(alphabet.size())]);
+    return s;
+}
+
+/** Copy of s with `count` random positions set to another symbol. */
+std::string
+substituteRandom(std::string s, std::size_t count,
+                 const std::string &alphabet, Rng &rng)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        char &c = s[rng.below(s.size())];
+        const char old = c;
+        while (c == old)
+            c = alphabet[rng.below(alphabet.size())];
+    }
+    return s;
+}
+
+TEST(WithinEditDistance, DispatchEdges)
+{
+    // k = 31 is the widest band that fits one word; k = 32 takes the
+    // blocked kernel.  For each, pairs at exact distance k and k + 1,
+    // with a length gap of exactly k and with equal lengths, must give
+    // the plain DP's answer at thresholds k - 1, k and k + 1.
+    std::string every_byte(256, ' ');
+    for (std::size_t c = 0; c < every_byte.size(); ++c)
+        every_byte[c] = static_cast<char>(c);
+    const std::string alphabets[] = {"ACGT", every_byte};
+    Rng rng(7300);
+    for (const std::string &alphabet : alphabets) {
+        for (const std::size_t len : {132u, 300u}) {
+            for (const std::size_t k : {30u, 31u, 32u}) {
+                const std::string a = randomOver(alphabet, len, rng);
+                std::vector<std::string> found;
+                for (const std::size_t gap : {k, std::size_t{0}}) {
+                    for (const std::size_t target : {k, k + 1}) {
+                        // Draw until the edits cost exactly target.
+                        for (int trial = 0; trial < 1000; ++trial) {
+                            const std::string b = substituteRandom(
+                                insertRandom(a, gap, alphabet, rng),
+                                target - gap, alphabet, rng);
+                            if (levenshtein(a, b) == target) {
+                                found.push_back(b);
+                                break;
+                            }
+                        }
+                    }
+                }
+                ASSERT_EQ(found.size(), 4u) << "len " << len << " k " << k;
+                for (const std::string &b : found) {
+                    const std::size_t exact = levenshtein(a, b);
+                    for (const std::size_t t : {k - 1, k, k + 1}) {
+                        EXPECT_EQ(withinEditDistance(a, b, t), exact <= t)
+                            << "len " << len << " k " << k << " t " << t
+                            << " exact " << exact << " gap "
+                            << b.size() - a.size();
+                        EXPECT_EQ(withinEditDistance(b, a, t), exact <= t);
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(WithinEditDistance, EmptyAndHugeThresholds)
 {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "util/random.hh"
@@ -142,6 +143,14 @@ TEST(Rng, GeometricCertainSuccessIsZero)
     Rng rng(10);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+TEST(Rng, GeometricSaturatesForTinyP)
+{
+    // log(u) / log1p(-1e-300) is about 1e300 failures: far past 2^64.
+    Rng rng(12);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(rng.geometric(1e-300), UINT64_MAX);
 }
 
 TEST(Rng, NormalMoments)
