@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,18 @@ struct RateCase
     const char *name;
     IidChannelConfig cfg;
 };
+
+// gtest prints a parameter it cannot format as its raw bytes, and the
+// bytes of `name` are an address that moves with every process, so the
+// case names listed to ctest would change from one build to the next.
+// The test name already carries `name`; print the rates, short enough
+// that every listed name stays within 100 characters.
+void
+PrintTo(const RateCase &c, std::ostream *os)
+{
+    *os << c.cfg.p_insertion << '/' << c.cfg.p_deletion << '/'
+        << c.cfg.p_substitution;
+}
 
 /** kReads reads of one clean strand, and the strand repeated alongside. */
 struct Sample

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "simulator/iid_channel.hh"
 #include "simulator/markov_channel.hh"
@@ -130,6 +131,15 @@ struct ChannelCase
     const char *name;
     std::unique_ptr<Channel> (*make)();
 };
+
+// gtest prints a parameter it cannot format as its raw bytes, and the
+// bytes of `name` are an address that moves with every process, so the
+// case names listed to ctest would change from one build to the next.
+void
+PrintTo(const ChannelCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SequencingRunThreads : public ::testing::TestWithParam<ChannelCase>
 {
