@@ -18,7 +18,6 @@
 #include "obs/metrics.hh"
 #include "obs/report.hh"
 #include "obs/span.hh"
-#include "obs/stage_tag.hh"
 #include "reconstruction/bma.hh"
 #include "reconstruction/nw_consensus.hh"
 #include "simulator/iid_channel.hh"
@@ -429,7 +428,6 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
              std::size_t num_threads)
 {
     obs::Span span("archive/put");
-    obs::StageTagScope tag("archive.put");
     PutResult result;
     if (name.empty()) {
         result.status = ArchiveStatus::InvalidArgument;
@@ -541,7 +539,6 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
                      ShardOutcome &outcome) const
 {
     obs::Span span("archive/shard_decode");
-    obs::StageTagScope tag("archive.shard_decode");
     outcome.pair_id = shard.pair_id;
     try {
         const PrimerPair pair = publishedLibrary().pairFor(shard.pair_id);
@@ -642,7 +639,6 @@ Archive::getMany(const std::vector<std::string> &names,
                  const RetrievalConfig &config) const
 {
     obs::Span span("archive/get_many");
-    obs::StageTagScope tag("archive.get_many");
     std::vector<GetResult> results(names.size());
     if (names.empty())
         return results;

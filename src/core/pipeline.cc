@@ -11,7 +11,6 @@
 #include "clustering/accuracy.hh"
 #include "obs/cpu_time.hh"
 #include "obs/span.hh"
-#include "obs/stage_tag.hh"
 #include "simulator/sequencing_run.hh"
 #include "util/assert.hh"
 #include "util/thread_pool.hh"
@@ -81,16 +80,15 @@ degradeTo(StageStatus &status, StageStatus floor)
 }
 
 /**
- * One stage's instrumentation: opens the stage's trace span, sets the
- * thread's stage tag, and adds the wall and thread-CPU time of that
- * same interval into the stage's PipelineResult latency/cpu fields.
+ * One stage's instrumentation: opens the stage's trace span and adds
+ * the wall and thread-CPU time of that same interval into the stage's
+ * PipelineResult latency/cpu fields.
  */
 class StageScope
 {
   public:
-    StageScope(const char *span, const char *tag, double &latency,
-               double &cpu)
-        : span_(span), tag_(tag), latency_(&latency), cpu_(&cpu)
+    StageScope(const char *span, double &latency, double &cpu)
+        : span_(span), latency_(&latency), cpu_(&cpu)
     {
     }
 
@@ -126,7 +124,6 @@ class StageScope
     }
 
     obs::Span span_;
-    obs::StageTagScope tag_;
     double *latency_;
     double *cpu_;
     Clock::time_point wall_start_ = Clock::now();
@@ -134,10 +131,10 @@ class StageScope
 };
 
 /**
- * The shell both entry points share: metrics, contention and
- * allocation deltas around @p body, the run's own injector when @p plan
- * has faults, a catch-all that turns any escaped exception into a
- * pipeline error, and the published run tallies.
+ * The shell both entry points share: metrics and contention deltas
+ * around @p body, the run's own injector when @p plan has faults, a
+ * catch-all that turns any escaped exception into a pipeline error,
+ * and the published run tallies.
  */
 PipelineResult
 instrumentedRun(
@@ -148,7 +145,6 @@ instrumentedRun(
     const obs::MetricsSnapshot before = obs::metrics().snapshot();
     const obs::locktime::ContentionSnapshot contention_before =
         obs::locktime::contentionSnapshot();
-    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
     std::optional<FaultInjector> faults;
     {
         obs::Span run_span(span_name);
@@ -168,7 +164,6 @@ instrumentedRun(
     result.metrics = obs::metrics().snapshot().delta(before);
     result.contention =
         obs::locktime::contentionSnapshot().delta(contention_before);
-    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
     return result;
 }
 
@@ -329,8 +324,8 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     // Stage 1: encoding (+ ECC).
     std::vector<Strand> encoded;
     try {
-        StageScope stage("pipeline/encoding", "encoding",
-                         result.latency.encoding, result.cpu.encoding);
+        StageScope stage("pipeline/encoding", result.latency.encoding,
+                         result.cpu.encoding);
         encoded = mods.encoder->encode(data);
         result.status.encoding = StageStatus::Ok;
     } catch (const std::exception &error) {
@@ -357,8 +352,8 @@ Pipeline::runImpl(const std::vector<std::uint8_t> &data,
     // Stage 2: wetlab simulation (synthesis, storage, sequencing).
     SequencingRun run;
     try {
-        StageScope stage("pipeline/simulation", "simulation",
-                         result.latency.simulation, result.cpu.simulation);
+        StageScope stage("pipeline/simulation", result.latency.simulation,
+                         result.cpu.simulation);
         run = simulateSequencing(encoded, *mods.channel, cfg.coverage, rng,
                                  true, cfg.num_threads);
         result.status.simulation = StageStatus::Ok;
@@ -443,8 +438,8 @@ Pipeline::retrieve(std::vector<Strand> reads,
     // Stage 3: clustering.
     Clustering clustering;
     try {
-        StageScope stage("pipeline/clustering", "clustering",
-                         result.latency.clustering, result.cpu.clustering);
+        StageScope stage("pipeline/clustering", result.latency.clustering,
+                         result.cpu.clustering);
         clustering = mods.clusterer->cluster(reads);
         result.status.clustering = StageStatus::Ok;
     } catch (const std::exception &error) {
@@ -550,7 +545,7 @@ Pipeline::retrieve(std::vector<Strand> reads,
     // Stage 4: trace reconstruction (salvaging cluster failures).
     result.status.reconstruction = StageStatus::Ok;
     auto [reconstructed, kept] = [&] {
-        StageScope stage("pipeline/reconstruction", "reconstruction",
+        StageScope stage("pipeline/reconstruction",
                          result.latency.reconstruction,
                          result.cpu.reconstruction);
         return reconstructSalvaging(*mods.reconstructor, groups, selection,
@@ -594,8 +589,8 @@ Pipeline::retrieve(std::vector<Strand> reads,
     // Stage 5: decoding and error correction.
     result.status.decoding = StageStatus::Ok;
     {
-        StageScope stage("pipeline/decoding", "decoding",
-                         result.latency.decoding, result.cpu.decoding);
+        StageScope stage("pipeline/decoding", result.latency.decoding,
+                         result.cpu.decoding);
         result.report = decodeGuarded(*mods.decoder, reconstructed,
                                       expected_units, result);
     }
@@ -604,7 +599,7 @@ Pipeline::retrieve(std::vector<Strand> reads,
     std::size_t budget = cfg.max_decode_retries;
     const auto attempt = [&](const std::string &description,
                              const Reconstructor &algo, std::size_t min) {
-        StageScope stage("pipeline/recovery_attempt", "recovery",
+        StageScope stage("pipeline/recovery_attempt",
                          result.latency.reconstruction,
                          result.cpu.reconstruction);
         const std::vector<Strand> consensus =

@@ -24,7 +24,6 @@
 #include "clustering/clusterer.hh"
 #include "codec/codec.hh"
 #include "core/fault.hh"
-#include "obs/alloc_profiler.hh"
 #include "obs/lock_timing.hh"
 #include "obs/metrics.hh"
 #include "reconstruction/reconstructor.hh"
@@ -148,12 +147,6 @@ struct PipelineResult
      * contention profiling is armed, obs/lock_timing.hh).
      */
     obs::locktime::ContentionSnapshot contention;
-
-    /**
-     * Per-run delta of the allocation-attribution table (empty unless
-     * allocation profiling is armed, obs/alloc_profiler.hh).
-     */
-    obs::alloc::AllocSnapshot alloc;
 };
 
 /** Module wiring for one pipeline instance. */

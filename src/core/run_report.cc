@@ -1,6 +1,5 @@
 #include "core/run_report.hh"
 
-#include "obs/alloc_profiler.hh"
 #include "obs/json.hh"
 #include "obs/lock_timing.hh"
 #include "obs/report.hh"
@@ -61,33 +60,6 @@ writeContention(obs::JsonWriter &json,
     json.endObject();
     json.key("sample_every");
     json.value(std::uint64_t{contention.sample_every});
-    json.endObject();
-}
-
-void
-writeAlloc(obs::JsonWriter &json, const obs::alloc::AllocSnapshot &alloc)
-{
-    json.beginObject();
-    json.key("enabled");
-    json.value(alloc.enabled);
-    json.key("sample_every");
-    json.value(std::uint64_t{alloc.sample_every});
-    json.key("stages");
-    json.beginObject();
-    for (const obs::alloc::StageAllocSnapshot &s : alloc.stages) {
-        json.key(s.stage);
-        json.beginObject();
-        json.key("estimated_allocs");
-        json.value(s.estimated_allocs);
-        json.key("estimated_bytes");
-        json.value(s.estimated_bytes);
-        json.key("sampled_allocs");
-        json.value(s.sampled_allocs);
-        json.key("sampled_bytes");
-        json.value(s.sampled_bytes);
-        json.endObject();
-    }
-    json.endObject();
     json.endObject();
 }
 
@@ -224,9 +196,6 @@ runReportJson(const PipelineResult &result, const RunInfo &info)
 
     json.key("contention");
     writeContention(json, result.contention);
-
-    json.key("alloc");
-    writeAlloc(json, result.alloc);
 
     json.endObject();
     return json.text();

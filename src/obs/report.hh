@@ -32,13 +32,15 @@ namespace dnastore::obs
  *   2 — performance attribution: stages gain cpu_seconds/utilization,
  *       run reports gain "contention" and "alloc" sections, the thread
  *       pool publishes queue-wait/busy/idle/utilization metrics.
+ *   3 — run reports drop the "alloc" section; every other key keeps
+ *       its place and meaning.
  *
  * `dnastore report diff` and tools/check_obs_json.py (for run reports)
  * accept only the current version; on-disk archive manifests version
  * independently (archive::kManifestSchemaVersion) so bumping this never
  * invalidates stored archives.
  */
-inline constexpr int kSchemaVersion = 2;
+inline constexpr int kSchemaVersion = 3;
 
 /** Emit @p snapshot as a JSON value into @p json. */
 void writeMetricsValue(JsonWriter &json, const MetricsSnapshot &snapshot);

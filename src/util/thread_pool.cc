@@ -213,12 +213,7 @@ ThreadPool::workerLoop()
                 : 0.0);
         pm.tasks_total.add();
         const std::uint64_t cpu_begin_ns = obs::threadCpuNanos();
-        {
-            // Adopt the submitter's stage tag so allocation attribution
-            // follows the work onto the worker thread.
-            obs::StageTagScope tag(task.stage_tag);
-            task.fn();
-        }
+        task.fn();
         const std::uint64_t cpu_end_ns = obs::threadCpuNanos();
         const std::uint64_t end_us = obs::traceNowMicros();
         pm.busy_micros_total.add(end_us - begin_us);

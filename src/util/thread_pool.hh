@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/span.hh"
-#include "obs/stage_tag.hh"
 #include "util/assert.hh"
 #include "util/sync.hh"
 #include "util/thread_annotations.hh"
@@ -95,9 +94,8 @@ class ThreadPool
             if (stopping)
                 throw std::runtime_error(
                     "submit on a stopping ThreadPool");
-            tasks.emplace(PendingTask{[task] { (*task)(); },
-                                      obs::traceNowMicros(),
-                                      obs::currentStageTag()});
+            tasks.emplace(
+                PendingTask{[task] { (*task)(); }, obs::traceNowMicros()});
         }
         available.notifyOne();
         return future;
@@ -105,15 +103,13 @@ class ThreadPool
 
   private:
     /**
-     * A queued task plus the attribution the worker needs: when it was
-     * enqueued (for the queue-wait histogram) and the submitter's stage
-     * tag (so pool work stays attributed to the scheduling stage).
+     * A queued task plus when it was enqueued (for the queue-wait
+     * histogram).
      */
     struct PendingTask
     {
         std::function<void()> fn;
         std::uint64_t enqueue_us = 0;
-        const char *stage_tag = nullptr;
     };
 
     void workerLoop();

@@ -1,12 +1,14 @@
 /**
  * @file
  * Full-system integration tests: multiple files in one pool, PCR random
- * access, wetlab-style FASTQ handling, and the complete storage round
- * trip under realistic noise.
+ * access, wetlab-style FASTQ handling, the complete storage round trip
+ * under realistic noise, and AddressSanitizer's new/delete pairing
+ * check in a binary that links the whole pipeline.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
 
 #include "codec/matrix_codec.hh"
@@ -18,6 +20,14 @@
 #include "simulator/sequencing_run.hh"
 #include "simulator/virtual_wetlab.hh"
 #include "wetlab/preprocess.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DNASTORE_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DNASTORE_TEST_ASAN 1
+#endif
+#endif
 
 namespace dnastore
 {
@@ -200,6 +210,34 @@ TEST(EndToEnd, ContaminatedPcrStillDecodes)
         encoder.unitsForSize(file_a.size()));
     EXPECT_TRUE(result.report.ok);
     EXPECT_EQ(result.report.data, file_a);
+}
+
+#if defined(DNASTORE_TEST_ASAN)
+// Volatile round trips hide both the size and the pointer's origin, so
+// the optimiser can neither elide the pair nor diagnose it statically.
+volatile std::size_t g_count = 4;
+int *volatile g_block = nullptr;
+
+void
+freeArrayWithScalarDelete()
+{
+    g_block = new int[g_count];
+    int *const block = g_block;
+    delete block; // deliberately mismatched: allocated with new[]
+}
+#endif
+
+// The pipeline's binaries use the default global operator new/delete.
+// A replacement that sends both to malloc/free hides which form
+// allocated a block, and ASan then lets a mismatched delete pass.
+TEST(AllocatorDeathTest, AsanReportsArrayNewFreedWithScalarDelete)
+{
+#if defined(DNASTORE_TEST_ASAN)
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(freeArrayWithScalarDelete(), "alloc-dealloc-mismatch");
+#else
+    GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 } // namespace

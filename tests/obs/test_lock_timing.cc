@@ -68,8 +68,10 @@ forceContendedWait(Mutex &mutex)
 std::uint64_t
 recordedWaits(const char *name)
 {
-    const locktime::MutexWaitSnapshot *m =
-        findMutex(locktime::contentionSnapshot(), name);
+    // Keep the snapshot alive: findMutex returns a pointer into it.
+    const locktime::ContentionSnapshot snapshot =
+        locktime::contentionSnapshot();
+    const locktime::MutexWaitSnapshot *m = findMutex(snapshot, name);
     return m == nullptr ? 0 : m->total_count;
 }
 

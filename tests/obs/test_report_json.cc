@@ -96,20 +96,22 @@ TEST(RunReportJson, ContainsEverySection)
 
     EXPECT_NE(json.find("\"schema\":\"dnastore.run_report\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
     EXPECT_NE(json.find("\"run\":{\"seed\":\"7\",\"tool\":\"test\"}"),
               std::string::npos);
     for (const char *section :
          {"\"stages\":", "\"pipeline\":", "\"faults\":",
           "\"recovery_attempts\":", "\"errors\":", "\"metrics\":",
-          "\"contention\":", "\"alloc\":"})
+          "\"contention\":"})
         EXPECT_NE(json.find(section), std::string::npos) << section;
+    // schema_version 3 dropped the allocation-profiler section.
+    EXPECT_EQ(json.find("\"alloc\":"), std::string::npos);
     for (const char *stage :
          {"\"encoding\":", "\"simulation\":", "\"clustering\":",
           "\"reconstruction\":", "\"decoding\":", "\"total_seconds\":",
           "\"total_cpu_seconds\":"})
         EXPECT_NE(json.find(stage), std::string::npos) << stage;
-    // schema_version 2: every stage object carries CPU attribution.
+    // Since schema_version 2 every stage object carries CPU attribution.
     for (const char *field :
          {"\"cpu_seconds\":", "\"utilization\":", "\"sample_every\":",
           "\"mutexes\":"})

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/stage_tag.hh"
 #include "util/thread_pool.hh"
 
 #if defined(__SANITIZE_THREAD__)
@@ -221,26 +220,6 @@ TEST(ThreadPool, PublishesQueueWaitAndBusyAccounting)
     ASSERT_NE(utilization, delta.gauges.end());
     EXPECT_GE(utilization->second.value, 0.0);
     EXPECT_LE(utilization->second.value, 1.0);
-}
-
-TEST(ThreadPool, PropagatesSubmitterStageTagIntoWorkers)
-{
-    ThreadPool pool(2);
-    std::string observed;
-    {
-        obs::StageTagScope tag("test.pool_stage");
-        observed = pool.submit([] {
-                           return std::string(obs::currentStageTag());
-                       })
-                       .get();
-    }
-    EXPECT_EQ(observed, "test.pool_stage");
-    // Outside any scope, submitted work runs untagged.
-    EXPECT_EQ(pool.submit([] {
-                      return std::string(obs::currentStageTag());
-                  })
-                  .get(),
-              "");
 }
 
 #if defined(DNASTORE_ENABLE_DCHECKS)

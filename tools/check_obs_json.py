@@ -9,15 +9,13 @@ Usage:
 
 Checks, without any third-party dependency:
   * the metrics file parses, carries schema `dnastore.run_report` at
-    schema_version 2 (earlier versions are rejected), and contains every
+    schema_version 3 (earlier versions are rejected), and contains every
     required section (run, stages with per-stage latency, pipeline,
     faults, recovery_attempts, errors, metrics);
   * it carries the attribution layer: per-stage cpu_seconds +
-    utilization, stages.total_cpu_seconds, a contention section
-    (per-mutex wait histograms with consistent buckets) and an alloc
-    section (per-stage sampled/estimated byte and allocation counts);
-    when the thread pool ran tasks, the queue-wait histogram must be
-    present;
+    utilization, stages.total_cpu_seconds and a contention section
+    (per-mutex wait histograms with consistent buckets); when the
+    thread pool ran tasks, the queue-wait histogram must be present;
   * the metrics section holds at least --min-counters distinct module
     counters/histograms and every fault counter;
   * the trace file is a well-formed Chrome trace_event document whose
@@ -40,7 +38,7 @@ import json
 import sys
 import zlib
 
-RUN_REPORT_SCHEMA_VERSION = 2
+RUN_REPORT_SCHEMA_VERSION = 3
 
 REQUIRED_SECTIONS = (
     "run",
@@ -78,7 +76,7 @@ def fail(message):
     sys.exit(1)
 
 
-def check_metrics_v2(path, doc):
+def check_attribution(path, doc):
     """Attribution checks every run report must pass."""
     stages = doc["stages"]
     for stage in REQUIRED_STAGES:
@@ -115,26 +113,6 @@ def check_metrics_v2(path, doc):
                  "sum to count")
         if not isinstance(mutex.get("sum_seconds"), (int, float)):
             fail(f"{path}: contention mutex {name!r} lacks sum_seconds")
-
-    alloc = doc.get("alloc")
-    if not isinstance(alloc, dict):
-        fail(f"{path}: alloc section missing")
-    if not isinstance(alloc.get("enabled"), bool):
-        fail(f"{path}: alloc.enabled missing or not a boolean")
-    sample = alloc.get("sample_every")
-    if not isinstance(sample, int) or sample < 1:
-        fail(f"{path}: alloc.sample_every must be an integer >= 1")
-    alloc_stages = alloc.get("stages")
-    if not isinstance(alloc_stages, dict):
-        fail(f"{path}: alloc.stages missing or not an object")
-    for tag, entry in alloc_stages.items():
-        for field in ("estimated_allocs", "estimated_bytes",
-                      "sampled_allocs", "sampled_bytes"):
-            if not isinstance(entry.get(field), int):
-                fail(f"{path}: alloc stage {tag!r} lacks integer {field}")
-        if entry["sampled_allocs"] > entry["estimated_allocs"]:
-            fail(f"{path}: alloc stage {tag!r} sampled_allocs exceeds "
-                 "estimated_allocs")
 
     # If the thread pool executed work during this run, its queue-wait
     # attribution must have been recorded alongside.
@@ -194,7 +172,7 @@ def check_metrics(path, min_counters):
             fail(f"{path}: histogram bucket/bound count mismatch")
         if sum(hist["counts"]) != hist["count"]:
             fail(f"{path}: histogram counts do not sum to count")
-    check_metrics_v2(path, doc)
+    check_attribution(path, doc)
     print(f"check_obs_json: {path}: {len(names)} counters/histograms "
           f"across modules {sorted(modules)}, "
           f"schema_version {doc['schema_version']}")

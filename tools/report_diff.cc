@@ -202,22 +202,33 @@ extractMetrics(const JsonValue &doc, const std::string &schema,
 /**
  * Regression test for one row.  A lower-is-better row regresses when
  * current exceeds baseline by more than max(relative slack, absolute
- * floor); higher-is-better rows flip the sign.  The symmetric check on
- * the other side marks genuine improvements, which gate nothing but are
- * worth surfacing in the report.
+ * floor).  A higher-is-better row is judged by ratio: it regresses when
+ * current < baseline / (1 + tolerance) and the drop exceeds the floor,
+ * since an additive slack of tolerance x baseline outgrows the baseline
+ * itself at 100% and would never flag a drop.  The mirror-image checks
+ * mark genuine improvements, which gate nothing but are worth
+ * surfacing in the report.
  */
 RowStatus
 judge(double baseline, double current, bool higher_is_better,
       const ReportDiffOptions &options)
 {
+    const double factor = 1.0 + options.tolerance_pct / 100.0;
+    if (higher_is_better) {
+        if (current < baseline / factor &&
+            baseline - current > options.abs_floor)
+            return RowStatus::Regressed;
+        if (current > baseline * factor &&
+            current - baseline > options.abs_floor)
+            return RowStatus::Improved;
+        return RowStatus::Ok;
+    }
     const double slack =
         std::max(std::abs(baseline) * options.tolerance_pct / 100.0,
                  options.abs_floor);
-    const double worse =
-        higher_is_better ? baseline - current : current - baseline;
-    if (worse > slack)
+    if (current - baseline > slack)
         return RowStatus::Regressed;
-    if (worse < -slack)
+    if (baseline - current > slack)
         return RowStatus::Improved;
     return RowStatus::Ok;
 }

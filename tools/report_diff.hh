@@ -12,8 +12,10 @@
  * relative slack (baseline * tolerance_pct / 100) and the absolute
  * floor; the floor keeps micro-benchmark noise (a stage going from 2ms
  * to 4ms) from tripping a 100% "regression".  Higher-is-better rows
- * (speedup) apply the same rule with the sign flipped.  Rows present in
- * only one document are reported but never gate.
+ * (speedup, throughput_rps) regress when current falls below
+ * baseline / (1 + tolerance_pct / 100) by more than the floor, so a
+ * tolerance of 150% flags a 2.5x drop.  Rows present in only one
+ * document are reported but never gate.
  *
  * Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/parse
  * error or another schema_version.  --markdown additionally writes an attribution report (the
