@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks for the computational kernels the
  * pipeline's complexity analysis rests on (paper Section IX-A):
  * edit-distance variants, signature computation and comparison,
- * Reed-Solomon coding, alignment, reconstruction, the GRU step and
+ * Reed-Solomon coding, matrix encoding, alignment, reconstruction, the GRU step and
  * wetlab read preprocessing.
  */
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "clustering/signature.hh"
+#include "codec/matrix_codec.hh"
 #include "dna/align.hh"
 #include "dna/distance.hh"
 #include "dna/strand.hh"
@@ -120,39 +121,73 @@ BM_SignatureDistance(benchmark::State &state)
 }
 BENCHMARK(BM_SignatureDistance)->Arg(0)->Arg(1);
 
-void
-BM_RsEncode(benchmark::State &state)
+/** A random k-symbol message for an RS(n, k) benchmark. */
+std::vector<std::uint8_t>
+rsMessage(const ReedSolomon &rs, std::uint64_t seed)
 {
-    ReedSolomon rs(255, static_cast<std::size_t>(state.range(0)));
-    Rng rng(5);
+    Rng rng(seed);
     std::vector<std::uint8_t> message(rs.k());
     for (auto &b : message)
         b = static_cast<std::uint8_t>(rng.below(256));
+    return message;
+}
+
+void
+BM_ReedSolomonEncode(benchmark::State &state)
+{
+    // Args: n, k.  (60, 40) is Table III's geometry, (96, 64) the
+    // archive's (every put re-encodes the manifest mirror with it).
+    const ReedSolomon rs(static_cast<std::size_t>(state.range(0)),
+                         static_cast<std::size_t>(state.range(1)));
+    const auto message = rsMessage(rs, 5);
     for (auto _ : state)
         benchmark::DoNotOptimize(rs.encode(message));
 }
-BENCHMARK(BM_RsEncode)->Arg(223)->Arg(127);
+BENCHMARK(BM_ReedSolomonEncode)
+    ->Args({60, 40})
+    ->Args({96, 64})
+    ->Args({255, 223});
 
 void
-BM_RsDecodeErrors(benchmark::State &state)
+BM_ReedSolomonDecode(benchmark::State &state)
 {
-    ReedSolomon rs(255, 223);
+    // Args: n, k, symbol errors.  A clean row costs its syndromes only;
+    // an erroneous one adds Sugiyama, Chien and Forney.
+    const ReedSolomon rs(static_cast<std::size_t>(state.range(0)),
+                         static_cast<std::size_t>(state.range(1)));
+    const auto errors = static_cast<std::size_t>(state.range(2));
     Rng rng(6);
-    std::vector<std::uint8_t> message(rs.k());
-    for (auto &b : message)
-        b = static_cast<std::uint8_t>(rng.below(256));
-    const auto clean = rs.encode(message);
-    const auto errors = static_cast<std::size_t>(state.range(0));
+    auto corrupted = rs.encode(rsMessage(rs, 6));
+    for (const auto pos : rng.sampleIndices(rs.n(), errors))
+        corrupted[pos] ^= 0x5A;
+    auto codeword = corrupted;
     for (auto _ : state) {
-        state.PauseTiming();
-        auto corrupted = clean;
-        for (const auto pos : rng.sampleIndices(rs.n(), errors))
-            corrupted[pos] ^= 0x5A;
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(rs.decode(corrupted));
+        codeword = corrupted;
+        benchmark::DoNotOptimize(rs.decode(codeword));
     }
 }
-BENCHMARK(BM_RsDecodeErrors)->Arg(0)->Arg(4)->Arg(16);
+BENCHMARK(BM_ReedSolomonDecode)
+    ->Args({60, 40, 0})
+    ->Args({60, 40, 2})
+    ->Args({96, 64, 0})
+    ->Args({96, 64, 2})
+    ->Args({255, 223, 16});
+
+void
+BM_MatrixEncode(benchmark::State &state)
+{
+    // 14 KB, about the manifest of a 128-object archive, at the
+    // archive's default geometry (RS(96, 64) rows, 120-nt payloads,
+    // 12-nt indexes): what every put re-encodes for the pair-0 mirror.
+    const MatrixEncoder encoder{MatrixCodecConfig{}};
+    Rng rng(7);
+    std::vector<std::uint8_t> data(14 * 1000);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(encoder.encode(data));
+}
+BENCHMARK(BM_MatrixEncode)->Unit(benchmark::kMicrosecond);
 
 void
 BM_GlobalAlign(benchmark::State &state)

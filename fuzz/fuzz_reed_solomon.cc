@@ -6,6 +6,9 @@
  *
  * The input selects a geometry (n, k), a message, and an errata plan
  * (error positions/values plus erasure positions).  Properties checked:
+ *  - encode's parity equals the remainder of m(x) * x^(n-k) divided by
+ *    the generator g(x) = prod (x - alpha^i), computed independently
+ *    with gf256::polyDivMod;
  *  - decode never crashes on any codeword, corrupted or random;
  *  - within the guaranteed radius (2*errors + erasures <= n - k) the
  *    decoder MUST recover the original codeword exactly and report ok;
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "ecc/gf256.hh"
 #include "ecc/reed_solomon.hh"
 
 namespace
@@ -43,6 +47,33 @@ struct Input
     bool exhausted() const { return pos >= size; }
 };
 
+/**
+ * The systematic codeword by polynomial division: message index i has
+ * degree n-1-i, parity index k+j degree n-k-1-j.
+ */
+std::vector<std::uint8_t>
+divisionCodeword(std::size_t n, std::size_t k,
+                 const std::vector<std::uint8_t> &message)
+{
+    namespace gf256 = dnastore::gf256;
+    gf256::Poly generator = {1};
+    for (std::size_t i = 0; i < n - k; ++i) {
+        const gf256::Poly factor = {gf256::alphaPow(static_cast<int>(i)), 1};
+        generator = gf256::polyMul(generator, factor);
+    }
+    gf256::Poly shifted(n, 0);
+    for (std::size_t i = 0; i < k; ++i)
+        shifted[n - 1 - i] = message[i];
+    gf256::Poly quotient, remainder;
+    gf256::polyDivMod(shifted, generator, quotient, remainder);
+
+    std::vector<std::uint8_t> codeword = message;
+    codeword.resize(n, 0);
+    for (std::size_t deg = 0; deg < remainder.size(); ++deg)
+        codeword[n - 1 - deg] = remainder[deg];
+    return codeword;
+}
+
 } // namespace
 
 extern "C" int
@@ -62,6 +93,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     const auto original = rs.encode(message);
     check(rs.isCodeword(original));
     check(rs.message(original) == message);
+    check(original == divisionCodeword(n, k, message));
 
     // Errata plan: alternate (position, value) error pairs and erasure
     // positions until the input runs dry.

@@ -309,6 +309,7 @@ MatrixEncoder::encode(const std::vector<std::uint8_t> &data) const
     std::vector<Strand> strands;
     strands.reserve(units * cfg.rs_n);
     std::vector<std::uint8_t> row_message(cfg.rs_k);
+    std::vector<std::uint8_t> column(rows);
     for (std::size_t u = 0; u < units; ++u) {
         obs::Span unit_span("encoding/unit");
         // logical[r][c], row-major over rows.
@@ -331,7 +332,6 @@ MatrixEncoder::encode(const std::vector<std::uint8_t> &data) const
         }
 
         for (std::size_t c = 0; c < cfg.rs_n; ++c) {
-            std::vector<std::uint8_t> column(rows);
             for (std::size_t pr = 0; pr < rows; ++pr) {
                 // Gini stores logical row (pr - c) mod rows at physical
                 // row pr, spreading each codeword across all strand

@@ -70,13 +70,16 @@ reverseComplementInPlace(Strand &s)
 Strand
 fromBytes(const std::vector<std::uint8_t> &bytes)
 {
-    Strand s;
-    s.reserve(bytes.size() * 4);
+    // Sized once and written through a pointer: a push_back per base
+    // re-checks the capacity every time, and the matrix encoder packs
+    // every molecule through here.
+    Strand s(bytes.size() * 4, 'A');
+    char *out = s.data();
     for (std::uint8_t byte : bytes) {
-        s.push_back(baseToChar(static_cast<std::uint8_t>(byte >> 6)));
-        s.push_back(baseToChar(static_cast<std::uint8_t>(byte >> 4)));
-        s.push_back(baseToChar(static_cast<std::uint8_t>(byte >> 2)));
-        s.push_back(baseToChar(byte));
+        *out++ = baseToChar(static_cast<std::uint8_t>(byte >> 6));
+        *out++ = baseToChar(static_cast<std::uint8_t>(byte >> 4));
+        *out++ = baseToChar(static_cast<std::uint8_t>(byte >> 2));
+        *out++ = baseToChar(byte);
     }
     return s;
 }

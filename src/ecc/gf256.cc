@@ -1,82 +1,19 @@
 #include "ecc/gf256.hh"
 
-#include <array>
+#include <algorithm>
 #include <stdexcept>
-
-#include "util/assert.hh"
 
 namespace dnastore
 {
 namespace gf256
 {
 
-namespace
+using detail::kTables;
+
+void
+detail::throwDomainError(const char *what)
 {
-
-/** exp/log tables for 0x11D, built once at static-init time. */
-struct Tables
-{
-    std::array<std::uint8_t, 512> exp{}; // doubled to skip a mod 255
-    std::array<int, 256> log{};
-
-    Tables()
-    {
-        std::uint16_t x = 1;
-        for (int i = 0; i < 255; ++i) {
-            exp[i] = static_cast<std::uint8_t>(x);
-            log[x] = i;
-            x = static_cast<std::uint16_t>(x << 1);
-            if (x & 0x100)
-                x ^= 0x11D;
-        }
-        for (int i = 255; i < 512; ++i)
-            exp[i] = exp[i - 255];
-        log[0] = -1;
-        DNASTORE_ASSERT(x == 1,
-                        "0x11D must generate the full multiplicative "
-                        "group (alpha^255 == 1)");
-        DNASTORE_ASSERT(exp[0] == 1 && log[1] == 0 && log[kAlpha] == 1,
-                        "GF(2^8) exp/log tables must be mutually inverse "
-                        "at the anchor points");
-    }
-};
-
-const Tables &
-tables()
-{
-    static const Tables t;
-    return t;
-}
-
-} // namespace
-
-std::uint8_t
-mul(std::uint8_t a, std::uint8_t b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    const Tables &t = tables();
-    return t.exp[t.log[a] + t.log[b]];
-}
-
-std::uint8_t
-div(std::uint8_t a, std::uint8_t b)
-{
-    if (b == 0)
-        throw std::domain_error("gf256::div by zero");
-    if (a == 0)
-        return 0;
-    const Tables &t = tables();
-    return t.exp[t.log[a] - t.log[b] + 255];
-}
-
-std::uint8_t
-alphaPow(int power)
-{
-    power %= 255;
-    if (power < 0)
-        power += 255;
-    return tables().exp[power];
+    throw std::domain_error(what);
 }
 
 int
@@ -84,7 +21,7 @@ logOf(std::uint8_t a)
 {
     if (a == 0)
         throw std::domain_error("gf256::logOf(0)");
-    return tables().log[a];
+    return kTables.log[a];
 }
 
 std::uint8_t
@@ -92,7 +29,7 @@ inverse(std::uint8_t a)
 {
     if (a == 0)
         throw std::domain_error("gf256::inverse(0)");
-    return tables().exp[255 - tables().log[a]];
+    return kTables.exp[255 - kTables.log[a]];
 }
 
 std::uint8_t
@@ -103,8 +40,8 @@ pow(std::uint8_t a, unsigned power)
     if (a == 0)
         return 0;
     const long exponent =
-        static_cast<long>(tables().log[a]) * static_cast<long>(power % 255);
-    return tables().exp[static_cast<std::size_t>(exponent % 255)];
+        static_cast<long>(kTables.log[a]) * static_cast<long>(power % 255);
+    return kTables.exp[static_cast<std::size_t>(exponent % 255)];
 }
 
 int

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/assert.hh"
+#include "util/hot.hh"
 
 namespace dnastore
 {
@@ -18,54 +19,71 @@ ReedSolomon::ReedSolomon(std::size_t n, std::size_t k) : n_(n), k_(k)
     if (k == 0 || k >= n)
         throw std::invalid_argument("ReedSolomon: k must be in [1, n-1]");
 
-    // g(x) = prod_{i=0}^{n-k-1} (x - alpha^i), little-endian.
-    generator = {1};
+    // g(x) = prod_{i=0}^{n-k-1} (x - alpha^i), little-endian and monic.
+    Poly generator = {1};
     for (std::size_t i = 0; i < parity(); ++i) {
         const Poly factor = {gf256::alphaPow(static_cast<int>(i)), 1};
         generator = gf256::polyMul(generator, factor);
     }
+
+    // Row f holds f * g_j for j = n-k-1 down to 0: the register update
+    // of the encoder for feedback symbol f, highest degree first.
+    const std::size_t p = parity();
+    feedback_.resize(256 * p);
+    for (std::size_t f = 0; f < 256; ++f) {
+        for (std::size_t j = 0; j < p; ++j) {
+            feedback_[f * p + j] = gf256::mul(static_cast<std::uint8_t>(f),
+                                              generator[p - 1 - j]);
+        }
+    }
 }
 
-std::vector<std::uint8_t>
+DNASTORE_HOT std::vector<std::uint8_t>
 ReedSolomon::encode(std::span<const std::uint8_t> message) const
 {
     if (message.size() != k_)
         throw std::invalid_argument("ReedSolomon::encode: message size");
 
-    // m(x) * x^(n-k) in little-endian layout; message index i has degree
-    // n-1-i.
-    Poly shifted(n_, 0);
-    for (std::size_t i = 0; i < k_; ++i)
-        shifted[n_ - 1 - i] = message[i];
-
-    Poly quotient, remainder;
-    gf256::polyDivMod(shifted, generator, quotient, remainder);
-    DNASTORE_ASSERT(gf256::degree(remainder) <
-                        static_cast<int>(parity()),
-                    "parity remainder must have degree < n-k");
-
+    // Systematic LFSR: the parity field is the register of the division
+    // of m(x) * x^(n-k) by g(x), highest degree first, so the remainder
+    // lands where the codeword wants it (index k+j has degree n-k-1-j).
+    const std::size_t p = parity();
     std::vector<std::uint8_t> codeword(n_, 0);
     std::copy(message.begin(), message.end(), codeword.begin());
-    // Parity symbol j sits at codeword index k+j, i.e. degree n-k-1-j.
-    for (std::size_t j = 0; j < parity(); ++j) {
-        const std::size_t deg = parity() - 1 - j;
-        codeword[k_ + j] = deg < remainder.size() ? remainder[deg] : 0;
+    std::uint8_t *reg = codeword.data() + k_;
+    for (const std::uint8_t symbol : message) {
+        const std::uint8_t *row =
+            feedback_.data() + static_cast<std::size_t>(symbol ^ reg[0]) * p;
+        for (std::size_t j = 0; j + 1 < p; ++j)
+            reg[j] = reg[j + 1] ^ row[j];
+        reg[p - 1] = row[p - 1];
     }
     DNASTORE_DCHECK(isCodeword(codeword),
                     "systematic encoder must emit zero syndromes");
     return codeword;
 }
 
-Poly
+DNASTORE_HOT Poly
 ReedSolomon::syndromes(std::span<const std::uint8_t> codeword) const
 {
+    // S_j = sum_i c_i * alpha^(j * d_i), d_i = n-1-i the degree of index
+    // i, summed in the log domain: a nonzero symbol contributes
+    // exp[log c_i + j * d_i] to every S_j, and the p sums are
+    // independent, so no multiply waits on the one before.
+    const gf256::detail::Tables &t = gf256::detail::kTables;
     Poly s(parity(), 0);
-    for (std::size_t j = 0; j < parity(); ++j) {
-        const std::uint8_t x = gf256::alphaPow(static_cast<int>(j));
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < n_; ++i)
-            acc = static_cast<std::uint8_t>(gf256::mul(acc, x) ^ codeword[i]);
-        s[j] = acc;
+    const std::size_t last = codeword.size() - 1;
+    for (std::size_t i = 0; i < codeword.size(); ++i) {
+        if (codeword[i] == 0)
+            continue;
+        const unsigned step = static_cast<unsigned>((last - i) % 255);
+        unsigned e = t.log[codeword[i]];
+        for (std::uint8_t &sj : s) {
+            sj ^= t.exp[e];
+            e += step;
+            if (e >= 255)
+                e -= 255;
+        }
     }
     return s;
 }

@@ -6,10 +6,12 @@
  * IV): lost molecules become erasures, corrupted molecules become
  * symbol errors.
  *
- * Decoding uses the Sugiyama (extended Euclidean) key-equation solver
- * with erasure pre-multiplication, Chien search and Forney magnitudes,
- * followed by syndrome re-verification so miscorrections are reported
- * as failures rather than silent corruption.
+ * Encoding is a systematic LFSR driven by a 256 x (n-k) table of
+ * feedback products built once per code.  Decoding uses the Sugiyama
+ * (extended Euclidean) key-equation solver with erasure
+ * pre-multiplication, Chien search and Forney magnitudes, followed by
+ * syndrome re-verification so miscorrections are reported as failures
+ * rather than silent corruption.
  */
 
 #pragma once
@@ -82,12 +84,21 @@ class ReedSolomon
     /** True iff the codeword has all-zero syndromes. */
     bool isCodeword(std::span<const std::uint8_t> codeword) const;
 
-  private:
-    gf256::Poly syndromes(std::span<const std::uint8_t> codeword) const;
+    /**
+     * The n-k syndromes S_j = c(alpha^j) of an n-symbol word; all zero
+     * iff it is a codeword.
+     */
+    [[nodiscard]] gf256::Poly
+    syndromes(std::span<const std::uint8_t> codeword) const;
 
+  private:
     std::size_t n_;
     std::size_t k_;
-    gf256::Poly generator; //!< Generator polynomial, little-endian.
+    /**
+     * 256 x (n-k) encoder feedback products: row f is f times the
+     * generator's coefficients below x^(n-k), highest degree first.
+     */
+    std::vector<std::uint8_t> feedback_;
 };
 
 } // namespace dnastore

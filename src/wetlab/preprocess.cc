@@ -63,11 +63,26 @@ locatePrimer(It primer, std::size_t len, It read, std::size_t n,
     return end;
 }
 
-} // namespace
+const Strand &
+sequenceOf(const Strand &read)
+{
+    return read;
+}
 
+const Strand &
+sequenceOf(const FastqRecord &record)
+{
+    return record.sequence;
+}
+
+/**
+ * preprocessReads over bare reads or FASTQ records; a record's read is
+ * used in place, not copied out first.
+ */
+template <class Record>
 PreprocessResult
-preprocessReads(const std::vector<Strand> &raw_reads, const PrimerPair &pair,
-                const WetlabPreprocessConfig &config)
+preprocessRecords(const std::vector<Record> &records, const PrimerPair &pair,
+                  const WetlabPreprocessConfig &config)
 {
     obs::Span span("wetlab/preprocess");
     const std::size_t max_edit = config.primer_max_edit;
@@ -78,9 +93,10 @@ preprocessReads(const std::vector<Strand> &raw_reads, const PrimerPair &pair,
     std::vector<std::size_t> row;
 
     PreprocessResult result;
-    result.total = raw_reads.size();
-    result.reads.reserve(raw_reads.size());
-    for (const Strand &raw : raw_reads) {
+    result.total = records.size();
+    result.reads.reserve(records.size());
+    for (const Record &record : records) {
+        const Strand &raw = sequenceOf(record);
         const std::size_t n = raw.size();
         if (n < fwd.size()) {
             ++result.rejected;
@@ -131,15 +147,20 @@ preprocessReads(const std::vector<Strand> &raw_reads, const PrimerPair &pair,
     return result;
 }
 
+} // namespace
+
+PreprocessResult
+preprocessReads(const std::vector<Strand> &raw_reads, const PrimerPair &pair,
+                const WetlabPreprocessConfig &config)
+{
+    return preprocessRecords(raw_reads, pair, config);
+}
+
 PreprocessResult
 preprocessFastq(const std::vector<FastqRecord> &records,
                 const PrimerPair &pair, const WetlabPreprocessConfig &config)
 {
-    std::vector<Strand> raw;
-    raw.reserve(records.size());
-    for (const FastqRecord &rec : records)
-        raw.push_back(rec.sequence);
-    return preprocessReads(raw, pair, config);
+    return preprocessRecords(records, pair, config);
 }
 
 std::vector<FastqRecord>

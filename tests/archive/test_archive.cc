@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -884,4 +885,46 @@ TEST_F(ArchiveTest, OneShardRunsInlineWhateverTheThreadCount)
     EXPECT_EQ(got.data, payload);
     // No pool was built for a single shard, so no task ran on one.
     EXPECT_EQ(tasks.value(), before);
+}
+
+namespace
+{
+
+/** FNV-1a 64 of @p text, as 16 hex digits. */
+std::string
+fnv1a64(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return hex;
+}
+
+} // namespace
+
+TEST_F(ArchiveTest, PoolAndManifestBytesArePinned)
+{
+    // Three objects at the default RS(96, 64) geometry (the manifest
+    // mirror's too) in 256-byte shards.  The digests were recorded
+    // with the polynomial-division RS encoder; a codec kernel change
+    // must leave every byte on disk as it was.
+    ArchiveParams params;
+    params.max_shard_bytes = 256;
+    auto created = Archive::create(dir(), params);
+    ASSERT_TRUE(created.ok()) << created.error;
+    ASSERT_TRUE(created.archive->put("alpha", patternBytes(700, 31)).ok());
+    ASSERT_TRUE(created.archive->put("beta", patternBytes(90, 32)).ok());
+    ASSERT_TRUE(created.archive->put("gamma", patternBytes(300, 33)).ok());
+
+    const std::string pool = slurp(dir() + "/pool.fasta");
+    const std::string manifest = slurp(dir() + "/manifest.json");
+    EXPECT_EQ(pool.size(), 126227u);
+    EXPECT_EQ(fnv1a64(pool), "5b1e0c02f2b9228e");
+    EXPECT_EQ(manifest.size(), 888u);
+    EXPECT_EQ(fnv1a64(manifest), "e72af9ae188656fe");
 }

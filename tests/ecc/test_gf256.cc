@@ -80,6 +80,31 @@ TEST(Gf256, EveryNonzeroHasInverse)
     }
 }
 
+TEST(Gf256, MulMatchesShiftAndAdd)
+{
+    // Carry-less product reduced by 0x11D, bit by bit: an oracle that
+    // shares nothing with the exp/log tables.
+    const auto slow = [](unsigned a, unsigned b) {
+        unsigned product = 0;
+        for (; b != 0; b >>= 1) {
+            if (b & 1)
+                product ^= a;
+            a <<= 1;
+            if (a & 0x100)
+                a ^= 0x11D;
+        }
+        return static_cast<std::uint8_t>(product);
+    };
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 0; b < 256; ++b) {
+            ASSERT_EQ(mul(static_cast<std::uint8_t>(a),
+                          static_cast<std::uint8_t>(b)),
+                      slow(a, b))
+                << "a=" << a << " b=" << b;
+        }
+    }
+}
+
 TEST(Gf256, DivIsMulByInverse)
 {
     Rng rng(4);
