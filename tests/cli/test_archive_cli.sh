@@ -53,6 +53,25 @@ cmp -s b.bin out_b.bin || fail "beta round trip not byte-exact"
 "$bin" archive get --dir "$arch" --name ghost --out out_g.bin \
     && fail "get of missing object must exit nonzero"
 
+# An 8-shard object (4096 bytes in shards of <= 512) decodes the same
+# with a parallel and a serial shard decode: the path that
+# tools/check_get_speedup.py times.
+for _ in $(seq 1 256); do printf '0123456789abcdef'; done > c.bin
+sharded="$work/sharded"
+"$bin" archive put --dir "$sharded" --name gamma --in c.bin \
+    --max-shard-bytes 512 || fail "put gamma"
+for threads in 4 1; do
+    get_out="$("$bin" archive get --dir "$sharded" --name gamma \
+        --out "out_c$threads.bin" --seed 11 --threads "$threads")" \
+        || fail "get gamma --threads $threads"
+    cmp -s c.bin "out_c$threads.bin" \
+        || fail "gamma --threads $threads round trip not byte-exact"
+    ok_shards="$(grep -cE '^shard [0-9]+ \(pair [0-9]+\): ok,' \
+        <<< "$get_out" || true)"
+    [ "$ok_shards" -eq 8 ] \
+        || fail "gamma --threads $threads: $ok_shards ok shards, want 8"
+done
+
 # fsck: clean archive, then a planted stale staging file is detected
 # (healthy, exit 0), swept by --repair, and the rescan is clean again.
 fsck_out="$("$bin" archive fsck --dir "$arch" --json fsck.json)"

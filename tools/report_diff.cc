@@ -22,14 +22,9 @@ namespace
 
 using archive::JsonValue;
 
-/** One comparable series entry extracted from a report document. */
-struct MetricValue
-{
-    double value = 0.0;
-    bool higher_is_better = false;
-};
-
-using MetricMap = std::map<std::string, MetricValue>;
+/** Comparable series extracted from a report document; every row is
+ *  lower-is-better. */
+using MetricMap = std::map<std::string, double>;
 
 /** Verdict for one row of the diff table. */
 enum class RowStatus : std::uint8_t
@@ -95,10 +90,9 @@ extractRunReport(const JsonValue &doc, MetricMap &out)
         return;
     for (const auto &[name, value] : *members) {
         if (const JsonValue *seconds = value.find("seconds"))
-            out["stages." + name + ".seconds"] =
-                MetricValue{numberOf(*seconds), false};
+            out["stages." + name + ".seconds"] = numberOf(*seconds);
         else if (value.asDouble().has_value())
-            out["stages." + name] = MetricValue{numberOf(value), false};
+            out["stages." + name] = numberOf(value);
     }
 }
 
@@ -128,51 +122,9 @@ extractBenchTable3(const JsonValue &doc, MetricMap &out)
             continue;
         for (const auto &[name, value] : *members) {
             if (value.asDouble().has_value())
-                out[prefix + "." + name] =
-                    MetricValue{numberOf(value), false};
+                out[prefix + "." + name] = numberOf(value);
         }
     }
-}
-
-/** dnastore.bench_archive_throughput: per-mode wall time + speedup. */
-void
-extractArchiveThroughput(const JsonValue &doc, MetricMap &out)
-{
-    const JsonValue *modes = doc.find("modes");
-    const JsonValue::Array *items =
-        modes != nullptr ? modes->asArray() : nullptr;
-    if (items != nullptr) {
-        for (const JsonValue &mode : *items) {
-            const std::string *label = nullptr;
-            if (const JsonValue *m = mode.find("mode"))
-                label = m->asString();
-            if (label == nullptr)
-                continue;
-            if (const JsonValue *seconds = mode.find("get_seconds"))
-                out["modes." + *label + ".get_seconds"] =
-                    MetricValue{numberOf(*seconds), false};
-        }
-    }
-    if (const JsonValue *speedup = doc.find("speedup"))
-        out["speedup"] = MetricValue{numberOf(*speedup), true};
-}
-
-/** dnastore.bench_server_load: client-observed latency + throughput. */
-void
-extractServerLoad(const JsonValue &doc, MetricMap &out)
-{
-    const JsonValue *latency = doc.find("latency");
-    const JsonValue::Object *members =
-        latency != nullptr ? latency->asObject() : nullptr;
-    if (members != nullptr) {
-        for (const auto &[name, value] : *members) {
-            if (value.asDouble().has_value())
-                out["latency." + name] =
-                    MetricValue{numberOf(value), false};
-        }
-    }
-    if (const JsonValue *rps = doc.find("throughput_rps"))
-        out["throughput_rps"] = MetricValue{numberOf(*rps), true};
 }
 
 /** Dispatch on the document's "schema" string; false when unsupported. */
@@ -188,41 +140,18 @@ extractMetrics(const JsonValue &doc, const std::string &schema,
         extractBenchTable3(doc, out);
         return true;
     }
-    if (schema == "dnastore.bench_archive_throughput") {
-        extractArchiveThroughput(doc, out);
-        return true;
-    }
-    if (schema == "dnastore.bench_server_load") {
-        extractServerLoad(doc, out);
-        return true;
-    }
     return false;
 }
 
 /**
- * Regression test for one row.  A lower-is-better row regresses when
- * current exceeds baseline by more than max(relative slack, absolute
- * floor).  A higher-is-better row is judged by ratio: it regresses when
- * current < baseline / (1 + tolerance) and the drop exceeds the floor,
- * since an additive slack of tolerance x baseline outgrows the baseline
- * itself at 100% and would never flag a drop.  The mirror-image checks
- * mark genuine improvements, which gate nothing but are worth
- * surfacing in the report.
+ * Regression test for one row: it regresses when current exceeds
+ * baseline by more than max(relative slack, absolute floor).  The
+ * mirror-image check marks genuine improvements, which gate nothing but
+ * are worth surfacing in the report.
  */
 RowStatus
-judge(double baseline, double current, bool higher_is_better,
-      const ReportDiffOptions &options)
+judge(double baseline, double current, const ReportDiffOptions &options)
 {
-    const double factor = 1.0 + options.tolerance_pct / 100.0;
-    if (higher_is_better) {
-        if (current < baseline / factor &&
-            baseline - current > options.abs_floor)
-            return RowStatus::Regressed;
-        if (current > baseline * factor &&
-            current - baseline > options.abs_floor)
-            return RowStatus::Improved;
-        return RowStatus::Ok;
-    }
     const double slack =
         std::max(std::abs(baseline) * options.tolerance_pct / 100.0,
                  options.abs_floor);
@@ -276,46 +205,9 @@ fmtDelta(const DiffRow &row)
     return out.str();
 }
 
-/**
- * Markdown dump of one JSON value, depth-limited.  Used for the current
- * document's optional "attribution" section (worker busy fraction,
- * queue-wait percentiles) so the uploaded report explains *why* a
- * number moved, not just that it did.
- */
-void
-markdownValue(std::ostream &out, const std::string &indent,
-              const std::string &label, const JsonValue &value, int depth)
-{
-    if (depth > 3)
-        return;
-    if (const JsonValue::Object *members = value.asObject()) {
-        out << indent << "- `" << label << "`:\n";
-        for (const auto &[key, member] : *members)
-            markdownValue(out, indent + "  ", key, member, depth + 1);
-        return;
-    }
-    out << indent << "- `" << label << "`: ";
-    if (const std::string *text = value.asString())
-        out << *text;
-    else if (const auto flag = value.asBool())
-        out << (*flag ? "true" : "false");
-    else if (const JsonValue::Array *items = value.asArray()) {
-        out << "[";
-        for (std::size_t i = 0; i < items->size(); ++i) {
-            if (i != 0)
-                out << ", ";
-            out << numberOf((*items)[i]);
-        }
-        out << "]";
-    } else {
-        out << numberOf(value);
-    }
-    out << "\n";
-}
-
 bool
 writeMarkdown(const std::string &path, const std::string &schema,
-              const std::vector<DiffRow> &rows, const JsonValue &current,
+              const std::vector<DiffRow> &rows,
               const ReportDiffOptions &options, std::size_t regressions)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -333,12 +225,6 @@ writeMarkdown(const std::string &path, const std::string &schema,
         out << "| `" << row.name << "` | " << fmtValue(row.baseline)
             << " | " << fmtValue(row.current) << " | " << fmtDelta(row)
             << " | " << statusLabel(row.status) << " |\n";
-    }
-    if (const JsonValue *attribution = current.find("attribution")) {
-        out << "\n## Attribution (current run)\n\n";
-        if (const JsonValue::Object *members = attribution->asObject())
-            for (const auto &[key, member] : *members)
-                markdownValue(out, "", key, member, 0);
     }
     out << "\n";
     return out.good();
@@ -393,14 +279,13 @@ reportDiff(const std::string &baseline_path,
     for (const auto &[name, base] : baseline_metrics) {
         DiffRow row;
         row.name = name;
-        row.baseline = base.value;
+        row.baseline = base;
         const auto it = current_metrics.find(name);
         if (it == current_metrics.end()) {
             row.status = RowStatus::BaselineOnly;
         } else {
-            row.current = it->second.value;
-            row.status = judge(base.value, it->second.value,
-                               base.higher_is_better, options);
+            row.current = it->second;
+            row.status = judge(base, it->second, options);
             if (row.status == RowStatus::Regressed)
                 ++regressions;
         }
@@ -411,7 +296,7 @@ reportDiff(const std::string &baseline_path,
             continue;
         DiffRow row;
         row.name = name;
-        row.current = cur.value;
+        row.current = cur;
         row.status = RowStatus::CurrentOnly;
         rows.push_back(std::move(row));
     }
@@ -444,8 +329,8 @@ reportDiff(const std::string &baseline_path,
                   << options.abs_floor << ")\n";
 
     if (!options.markdown_path.empty() &&
-        !writeMarkdown(options.markdown_path, *baseline_name, rows,
-                       *current_doc, options, regressions)) {
+        !writeMarkdown(options.markdown_path, *baseline_name, rows, options,
+                       regressions)) {
         std::cerr << "report diff: cannot write "
                   << options.markdown_path << "\n";
         return 2;

@@ -2,25 +2,22 @@
  * @file
  * `dnastore report diff <baseline.json> <current.json>` — the perf
  * regression gate.  Compares two documents of the same schema
- * (dnastore.run_report, dnastore.bench_table3 or
- * dnastore.bench_archive_throughput), extracts the comparable
- * performance series (per-stage seconds, per-mode get seconds, the
- * archive speedup), and flags regressions beyond a tolerance.  Both
- * documents must carry the current obs::kSchemaVersion.
+ * (dnastore.run_report or dnastore.bench_table3), extracts the
+ * comparable performance series (per-stage seconds, per-combination
+ * stage wall and CPU seconds), and flags regressions beyond a
+ * tolerance.  Both documents must carry the current
+ * obs::kSchemaVersion; any other schema, including the retired
+ * bench_archive_throughput and bench_server_load documents, is refused.
  *
- * A latency row regresses when current - baseline exceeds BOTH the
- * relative slack (baseline * tolerance_pct / 100) and the absolute
- * floor; the floor keeps micro-benchmark noise (a stage going from 2ms
- * to 4ms) from tripping a 100% "regression".  Higher-is-better rows
- * (speedup, throughput_rps) regress when current falls below
- * baseline / (1 + tolerance_pct / 100) by more than the floor, so a
- * tolerance of 150% flags a 2.5x drop.  Rows present in only one
- * document are reported but never gate.
+ * Every row is lower-is-better.  A row regresses when current -
+ * baseline exceeds BOTH the relative slack (baseline * tolerance_pct /
+ * 100) and the absolute floor; the floor keeps micro-benchmark noise (a
+ * stage going from 2ms to 4ms) from tripping a 100% "regression".  Rows
+ * present in only one document are reported but never gate.
  *
  * Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/parse
- * error or another schema_version.  --markdown additionally writes an attribution report (the
- * row table plus the current document's attribution section — worker
- * busy fraction, queue-wait percentiles — when present).
+ * error, another schema_version or an unsupported schema.  --markdown
+ * additionally writes the row table as a markdown report.
  */
 
 #pragma once
